@@ -7,11 +7,16 @@ design, reproduced here:
 - a label points to a sorted array of *chunks*;
 - each chunk is a sorted array of up to 64 vnode pointers whose low 3 bits
   (free because pointers are 8-byte aligned) encode the level;
-- labels and chunks are reference counted and updated copy-on-write, so
-  multiple labels can share chunks;
+- labels and chunks are immutable and updated copy-on-write, so multiple
+  labels can share chunks;
 - each chunk (and each label) caches the minimum and maximum of its levels,
   enabling short-circuits such as: if L2's maximum level is no larger than
   L1's minimum level, then ``L1 ⊔ L2 = L1`` by definition.
+
+The prototype reference-counts shared chunks.  Here sharing is plain
+object identity: a label reuses another label's :class:`Chunk` object, and
+:func:`shared_memory_bytes` counts each distinct chunk once, which is the
+figure a refcounting kernel would report.
 
 Worst-case ⊑/⊔/⊓ remain linear in label size — exactly the linear scaling
 the paper observes in Figure 9 — and :class:`OpStats` counts the entries
@@ -26,6 +31,7 @@ minimum of 32 (44 + 16 + 32*8 = 316 bytes for the smallest label).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -102,31 +108,31 @@ def level_bit(level: Level) -> int:
     return 1 << (level + 1)
 
 
+def _mask_bounds(mask: int) -> Tuple[Level, Level]:
+    """(lowest, highest) level in a non-empty levels-present mask."""
+    return (mask & -mask).bit_length() - 2, mask.bit_length() - 2
+
+
 class Chunk:
     """An immutable sorted run of (handle, level) entries, shareable between
-    labels via reference counting."""
+    labels by object identity."""
 
-    __slots__ = ("entries", "min_level", "max_level", "level_mask", "refcount")
+    __slots__ = ("entries", "lo", "min_level", "max_level", "level_mask")
 
     def __init__(self, entries: Tuple[Tuple[Handle, Level], ...]):
         if len(entries) > CHUNK_CAPACITY:
             raise ValueError(f"chunk overflow: {len(entries)} > {CHUNK_CAPACITY}")
         self.entries = entries
-        levels = [level for _, level in entries]
-        self.min_level: Level = min(levels) if levels else L3
-        self.max_level: Level = max(levels) if levels else STAR
-        self.level_mask: int = 0
-        for level in levels:
-            self.level_mask |= level_bit(level)
-        self.refcount = 0  # maintained by ChunkedLabel for accounting
-
-    @property
-    def lo(self) -> Handle:
-        return self.entries[0][0]
-
-    @property
-    def hi(self) -> Handle:
-        return self.entries[-1][0]
+        mask = 0
+        for level in {level for _, level in entries}:
+            mask |= level_bit(level)
+        self.level_mask: int = mask
+        if mask:
+            self.lo: Handle = entries[0][0]
+            self.min_level, self.max_level = _mask_bounds(mask)
+        else:
+            self.lo = 0
+            self.min_level, self.max_level = L3, STAR
 
     def memory_bytes(self) -> int:
         return CHUNK_HEADER_BYTES + SLOT_BYTES * _slots_for(len(self.entries))
@@ -155,6 +161,7 @@ class ChunkedLabel:
         "explicit_max",
         "level_mask",
         "_size",
+        "_los",
         "_nonstar_cache",
         # Hash-consing support (repro.core.interning): the process-unique
         # id of this label's canonical instance, or None while the label
@@ -165,25 +172,31 @@ class ChunkedLabel:
         "__weakref__",
     )
 
-    def __init__(self, chunks: Sequence[Chunk], default: Level):
+    def __init__(
+        self,
+        chunks: Sequence[Chunk],
+        default: Level,
+        size: Optional[int] = None,
+        mask: Optional[int] = None,
+        los: Optional[List[Handle]] = None,
+    ):
+        """*size*, *mask* and *los* (each chunk's lowest handle) are derived
+        from *chunks* unless the caller already knows them — the
+        copy-on-write update does, so building its result costs only the
+        chunks it touched."""
         self.chunks: Tuple[Chunk, ...] = tuple(chunks)
         self.default: Level = default
-        # One pass over the chunk directory: refcounts, explicit bounds,
-        # level mask, size.  (This constructor runs on every label update
-        # in the kernel's hottest path.)
-        emin: Level = L3
-        emax: Level = STAR
-        mask = 0
-        size = 0
-        for chunk in self.chunks:
-            chunk.refcount += 1
-            if chunk.min_level < emin:
-                emin = chunk.min_level
-            if chunk.max_level > emax:
-                emax = chunk.max_level
-            mask |= chunk.level_mask
-            size += len(chunk.entries)
+        if mask is None:
+            mask = 0
+            for chunk in self.chunks:
+                mask |= chunk.level_mask
+        if size is None:
+            size = sum([len(chunk.entries) for chunk in self.chunks])
         # Explicit-entry bounds (exclude the default)...
+        if mask:
+            emin, emax = _mask_bounds(mask)
+        else:
+            emin, emax = L3, STAR
         self.explicit_min: Level = emin
         self.explicit_max: Level = emax
         # ...and whole-function bounds (include it).
@@ -192,6 +205,7 @@ class ChunkedLabel:
         # Bitmask of levels occurring explicitly (default not included).
         self.level_mask: int = mask
         self._size = size
+        self._los = los
         self._nonstar_cache: Optional[Tuple[Tuple[Handle, Level], ...]] = None
         self.intern_id: Optional[int] = None
 
@@ -220,28 +234,30 @@ class ChunkedLabel:
     def __len__(self) -> int:
         return self._size
 
+    def chunk_los(self) -> List[Handle]:
+        """Each chunk's lowest handle, in order (cached; do not mutate)."""
+        los = self._los
+        if los is None:
+            los = self._los = [chunk.lo for chunk in self.chunks]
+        return los
+
     def __call__(self, handle: Handle) -> Level:
         """Evaluate at *handle* via binary search over chunk ranges."""
-        lo, hi = 0, len(self.chunks) - 1
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            chunk = self.chunks[mid]
-            if handle < chunk.lo:
-                hi = mid - 1
-            elif handle > chunk.hi:
-                lo = mid + 1
-            else:
-                clo, chi = 0, len(chunk.entries) - 1
-                while clo <= chi:
-                    cmid = (clo + chi) // 2
-                    h, level = chunk.entries[cmid]
-                    if handle == h:
-                        return level
-                    if handle < h:
-                        chi = cmid - 1
-                    else:
-                        clo = cmid + 1
+        chunks = self.chunks
+        if len(chunks) == 1:
+            entries = chunks[0].entries
+        elif chunks:
+            idx = bisect_right(self.chunk_los(), handle) - 1
+            if idx < 0:
                 return self.default
+            entries = chunks[idx].entries
+        else:
+            return self.default
+        # (handle,) sorts just before (handle, level), so this lands on
+        # the handle's entry if it has one.
+        pos = bisect_left(entries, (handle,))
+        if pos < len(entries) and entries[pos][0] == handle:
+            return entries[pos][1]
         return self.default
 
     def iter_entries(self) -> Iterable[Tuple[Handle, Level]]:

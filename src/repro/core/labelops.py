@@ -29,7 +29,7 @@ fused results against the naive operators on random labels.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.chunks import (
     CHUNK_CAPACITY,
@@ -43,15 +43,29 @@ from repro.core.labels import Label
 from repro.core.levels import ALL_LEVELS, L3, STAR, Level
 
 
-def _star3(level: Level) -> Level:
-    """The pointwise form of the stars-only projection L*."""
-    return STAR if level == STAR else L3
+def _effect(q: Level, e: Level, d: Level) -> Level:
+    """Figure 4's send-label effect at one handle,
+    ``max(min(q, d), min(e, q*))``: a ``*`` entry is immune to
+    contamination and nothing lies below it; otherwise ``q* = 3`` and the
+    effect is ``max(min(q, d), e)``."""
+    return STAR if q == STAR else max(min(q, d), e)
 
 
-def _levels_in(label: ChunkedLabel) -> List[Level]:
-    """Distinct levels occurring in *label* (explicit entries + default)."""
-    mask = label.level_mask | level_bit(label.default)
-    return [lvl for lvl in ALL_LEVELS if mask & level_bit(lvl)]
+def _identity_mask(e: Level, d: Level) -> int:
+    """Levels q on which the effect is the identity both for ES level *e*
+    and for an explicit ES ``*`` (which reduces the effect to min(q, d))."""
+    mask = 0
+    for q in ALL_LEVELS:
+        if _effect(q, e, d) == q and min(q, d) == q:
+            mask |= level_bit(q)
+    return mask
+
+
+#: ``_IDENTITY[e][d]``: :func:`_identity_mask` for every pair of ES and DS
+#: default levels.
+_IDENTITY: Dict[Level, Dict[Level, int]] = {
+    e: {d: _identity_mask(e, d) for d in ALL_LEVELS} for e in ALL_LEVELS
+}
 
 
 def _explicit_handles(*labels: ChunkedLabel) -> List[Handle]:
@@ -85,20 +99,17 @@ def check_send(
         stats.operations += 1
     scanned = 0
 
-    def rhs(h: Handle) -> Level:
-        return min(max(qr(h), dr(h)), v(h), pr(h))
-
     # ES entries at * can never violate the check (⋆ is the global
     # minimum), so only its non-star entries need inspection — privileged
     # senders like netd carry one * per user and would otherwise make this
     # loop O(users).
     small = {h for h, _ in es.nonstar_entries()}
     for label in (dr, v, pr):
-        small.update(h for h, _ in label.iter_entries())
-    small_handles = sorted(small)
-    for handle in small_handles:
+        for chunk in label.chunks:
+            small.update([h for h, _ in chunk.entries])
+    for handle in sorted(small):
         scanned += 1
-        if es(handle) > rhs(handle):
+        if es(handle) > min(max(qr(handle), dr(handle)), v(handle), pr(handle)):
             if stats is not None:
                 stats.entries_scanned += scanned
             return False
@@ -162,18 +173,12 @@ def apply_send_effects(
     """
     if stats is not None:
         stats.operations += 1
-
-    def f(q: Level, e: Level, d: Level) -> Level:
-        return max(min(q, d), min(e, _star3(q)))
-
-    new_default = f(qs.default, es.default, ds.default)
-
-    fast = new_default == qs.default and all(
-        # f must be the identity on every level present in QS both for
-        # ES's default and for an explicit ES * (skipped-entry) value —
-        # the latter matters when DS's default grants below 3.
-        f(lvl, es.default, ds.default) == lvl and f(lvl, STAR, ds.default) == lvl
-        for lvl in _levels_in(qs)
+    # f must be the identity on every level present in QS (its default
+    # included, so the default cannot move) both for ES's default and for
+    # an explicit ES * (skipped-entry) value — the latter matters when
+    # DS's default grants below 3.
+    fast = not (
+        (qs.level_mask | level_bit(qs.default)) & ~_IDENTITY[es.default][ds.default]
     )
     if stats is not None:
         if fast:
@@ -186,16 +191,16 @@ def apply_send_effects(
         # ⊔ absorbs (the fast-path precondition already guarantees the
         # identity at every level present in QS, and at QS's default for
         # handles QS leaves implicit).
-        touched_set = {h for h, _ in es.nonstar_entries()}
-        touched_set.update(h for h, _ in ds.iter_entries())
-        touched = sorted(touched_set)
+        touched = {h for h, _ in es.nonstar_entries()}
+        for chunk in ds.chunks:
+            touched.update([h for h, _ in chunk.entries])
+        if stats is not None:
+            stats.entries_scanned += len(touched)
         updates: Dict[Handle, Level] = {}
         changed = False
         for handle in touched:
-            if stats is not None:
-                stats.entries_scanned += 1
             old = qs(handle)
-            new = f(old, es(handle), ds(handle))
+            new = _effect(old, es(handle), ds(handle))
             updates[handle] = new
             if new != old:
                 changed = True
@@ -208,10 +213,11 @@ def apply_send_effects(
     # Slow path: full pointwise merge (star entries of ES included — with
     # a changed default they can matter).
     entries: Dict[Handle, Level] = {}
-    for handle in set(_explicit_handles(qs, es, ds)):
-        if stats is not None:
-            stats.entries_scanned += 1
-        entries[handle] = f(qs(handle), es(handle), ds(handle))
+    for handle in _explicit_handles(qs, es, ds):
+        entries[handle] = _effect(qs(handle), es(handle), ds(handle))
+    if stats is not None:
+        stats.entries_scanned += len(entries)
+    new_default = _effect(qs.default, es.default, ds.default)
     return _from_entries(entries, new_default, stats, reuse=(qs,))
 
 
@@ -228,23 +234,23 @@ def raise_receive(
     fast = new_default == qr.default and (
         not qr.chunks or dr.default <= qr.explicit_min
     )
-    touched = _explicit_handles(dr)
     if stats is not None:
         if fast:
             stats.fast_path += 1
         else:
             stats.full_merges += 1
     if fast:
+        if stats is not None:
+            stats.entries_scanned += len(dr)
         updates: Dict[Handle, Level] = {}
         changed = False
-        for handle in touched:
-            if stats is not None:
-                stats.entries_scanned += 1
-            old = qr(handle)
-            new = max(old, dr(handle))
-            updates[handle] = new
-            if new != old:
-                changed = True
+        for chunk in dr.chunks:
+            for handle, level in chunk.entries:
+                old = qr(handle)
+                new = max(old, level)
+                updates[handle] = new
+                if new != old:
+                    changed = True
         if not changed:
             if stats is not None:
                 stats.chunks_shared += len(qr.chunks)
@@ -252,10 +258,10 @@ def raise_receive(
         return sparse_update(qr, updates, stats)
 
     entries: Dict[Handle, Level] = {}
-    for handle in set(_explicit_handles(qr)) | set(touched):
-        if stats is not None:
-            stats.entries_scanned += 1
+    for handle in _explicit_handles(qr, dr):
         entries[handle] = max(qr(handle), dr(handle))
+    if stats is not None:
+        stats.entries_scanned += len(entries)
     return _from_entries(entries, new_default, stats, reuse=(qr,))
 
 
@@ -290,69 +296,92 @@ def sparse_update(
     only the chunks that contain touched handles and sharing the rest.
 
     The label's default is unchanged; updates equal to the default are
-    normalised away (entry removed).
+    normalised away (entry removed).  Host work is O(touched chunks + log
+    chunks) plus one C-level copy of the chunk directory; the bill in
+    *stats* counts what the copy-on-write design does per touched chunk.
     """
     if not updates:
         return label
-    if not label.chunks:
-        entries = {h: lvl for h, lvl in updates.items() if lvl != label.default}
-        return _from_entries(entries, label.default, stats, reuse=())
+    chunks = label.chunks
+    default = label.default
+    if not chunks:
+        entries = {h: lvl for h, lvl in updates.items() if lvl != default}
+        return _from_entries(entries, default, stats, reuse=())
 
     # Route each updated handle to a chunk index: the chunk whose range
     # contains it, else the nearest chunk to its insertion point.
-    los = [chunk.lo for chunk in label.chunks]
+    los = label.chunk_los()
     per_chunk: Dict[int, Dict[Handle, Level]] = {}
     for handle, level in updates.items():
         idx = bisect_right(los, handle) - 1
         if idx < 0:
             idx = 0
-        per_chunk.setdefault(idx, {})[handle] = level
-
-    new_chunks: List[Chunk] = []
-    for idx, chunk in enumerate(label.chunks):
         todo = per_chunk.get(idx)
         if todo is None:
-            new_chunks.append(chunk)
-            if stats is not None:
-                stats.chunks_shared += 1
-            continue
-        merged: List[Tuple[Handle, Level]] = []
-        existing = {h: lvl for h, lvl in chunk.entries}
-        if stats is not None:
-            stats.entries_scanned += len(chunk.entries)
-        existing.update(todo)
-        for handle in sorted(existing):
-            level = existing[handle]
-            if level != label.default:
-                merged.append((handle, level))
+            per_chunk[idx] = {handle: level}
+        else:
+            todo[handle] = level
+
+    new_chunks = list(chunks)
+    new_los = list(los)
+    size = len(label)
+    shared = len(chunks) - len(per_chunk)
+    allocated = 0
+    scanned = 0
+    old_mask = 0  # levels of the rewritten chunks...
+    new_mask = 0  # ...and of their replacements
+    # Highest index first, so splicing never shifts a pending index.
+    for idx in sorted(per_chunk, reverse=True):
+        chunk = chunks[idx]
+        entries = chunk.entries
+        scanned += len(entries)
+        old_mask |= chunk.level_mask
+        merged = list(entries)
+        for handle, level in per_chunk[idx].items():
+            pos = bisect_left(merged, (handle,))
+            if pos < len(merged) and merged[pos][0] == handle:
+                if level == default:
+                    del merged[pos]
+                else:
+                    merged[pos] = (handle, level)
+            elif level != default:
+                merged.insert(pos, (handle, level))
+        size += len(merged) - len(entries)
         # Re-chunk this run.  Overflowing runs split *evenly* — a [64, 1]
         # split would leave a near-empty chunk owning half the handle
         # range, and repeated inserts then fragment the label (B-tree
-        # median splits, same reason).
+        # median splits, same reason).  An emptied chunk leaves no run.
+        replacement: List[Chunk] = []
         for run in _balanced_runs(merged):
-            if run == chunk.entries:
-                new_chunks.append(chunk)
-                if stats is not None:
-                    stats.chunks_shared += 1
+            if run == entries:
+                replacement.append(chunk)
+                shared += 1
             else:
-                new_chunks.append(Chunk(run))
-                if stats is not None:
-                    stats.chunks_allocated += 1
+                replacement.append(Chunk(run))
+                allocated += 1
+            new_mask |= replacement[-1].level_mask
+        new_chunks[idx : idx + 1] = replacement
+        new_los[idx : idx + 1] = [piece.lo for piece in replacement]
     if stats is not None:
+        stats.chunks_shared += shared
+        stats.chunks_allocated += allocated
+        stats.entries_scanned += scanned
         stats.labels_allocated += 1
-    kept = [c for c in new_chunks if len(c)]
-    total = sum(len(c) for c in kept)
-    if len(kept) > 3 and total < len(kept) * (CHUNK_CAPACITY // 3):
+    if len(new_chunks) > 3 and size < len(new_chunks) * (CHUNK_CAPACITY // 3):
         # Deletions (capability releases) have fragmented the label;
         # rebalance it wholesale.
-        entries = []
-        for chunk in kept:
-            entries.extend(chunk.entries)
-        kept = [Chunk(run) for run in _balanced_runs(entries)]
+        flat: List[Tuple[Handle, Level]] = []
+        for chunk in new_chunks:
+            flat.extend(chunk.entries)
+        rebalanced = [Chunk(run) for run in _balanced_runs(flat)]
         if stats is not None:
-            stats.chunks_allocated += len(kept)
-            stats.entries_scanned += total
-    return ChunkedLabel(kept, label.default)
+            stats.chunks_allocated += len(rebalanced)
+            stats.entries_scanned += size
+        return ChunkedLabel(tuple(rebalanced), default, size)
+    # The label's mask changes only through the rewritten chunks; unless
+    # a level vanished from them, no untouched chunk needs a look.
+    mask = None if old_mask & ~new_mask else label.level_mask | new_mask
+    return ChunkedLabel(tuple(new_chunks), default, size, mask, new_los)
 
 
 def _from_entries(
@@ -413,43 +442,34 @@ def check_send_reference(
 # fused counts instead — the ablation measured by bench_label_ops.
 
 
-class _Approx:
-    """(size, min, max) abstraction of a label flowing through the
-    modelled operator chain.  Result sizes use max() — the operand handle
-    sets overlap almost entirely in practice — and the min/max bounds are
-    sound in the direction that matters (they may only *enable* extra
-    short-circuits, modelling a competent implementation)."""
-
-    __slots__ = ("size", "lo", "hi")
-
-    def __init__(self, size: int, lo: Level, hi: Level):
-        self.size = size
-        self.lo = lo
-        self.hi = hi
-
-    @classmethod
-    def of(cls, label: ChunkedLabel) -> "_Approx":
-        return cls(len(label), label.min_level, label.max_level)
+# A label flowing through the modelled operator chain is abstracted as a
+# ``(size, lo, hi)`` tuple.  Result sizes use max() — the operand handle
+# sets overlap almost entirely in practice — and the min/max bounds are
+# sound in the direction that matters (they may only *enable* extra
+# short-circuits, modelling a competent implementation).
+_Shape = Tuple[int, Level, Level]
 
 
-def _lub_cost(a: _Approx, b: _Approx) -> Tuple[int, _Approx]:
+def _shape(label: ChunkedLabel) -> _Shape:
+    return len(label), label.min_level, label.max_level
+
+
+def _lub_cost(a: _Shape, b: _Shape) -> Tuple[int, _Shape]:
     """(entries scanned, result) for the paper's a ⊔ b; the min/max hint
     skips the merge when one operand dominates the other."""
-    if b.hi <= a.lo:
+    if b[2] <= a[1]:
         return 0, a
-    if a.hi <= b.lo:
+    if a[2] <= b[1]:
         return 0, b
-    merged = _Approx(max(a.size, b.size), max(a.lo, b.lo), max(a.hi, b.hi))
-    return a.size + b.size, merged
+    return a[0] + b[0], (max(a[0], b[0]), max(a[1], b[1]), max(a[2], b[2]))
 
 
-def _glb_cost(a: _Approx, b: _Approx) -> Tuple[int, _Approx]:
-    if b.lo >= a.hi:
+def _glb_cost(a: _Shape, b: _Shape) -> Tuple[int, _Shape]:
+    if b[1] >= a[2]:
         return 0, a
-    if a.lo >= b.hi:
+    if a[1] >= b[2]:
         return 0, b
-    merged = _Approx(max(a.size, b.size), min(a.lo, b.lo), min(a.hi, b.hi))
-    return a.size + b.size, merged
+    return a[0] + b[0], (max(a[0], b[0]), min(a[1], b[1]), min(a[2], b[2]))
 
 
 def paper_cost_check_send(
@@ -465,10 +485,10 @@ def paper_cost_check_send(
     ⊑ of a label against a bound whose minimum dominates the label's
     default only inspects the label's own entries (the same min/max hint
     family as ⊔/⊓)."""
-    scanned, rhs = _lub_cost(_Approx.of(qr), _Approx.of(dr))
-    cost, rhs = _glb_cost(rhs, _Approx.of(v))
+    scanned, rhs = _lub_cost(_shape(qr), _shape(dr))
+    cost, rhs = _glb_cost(rhs, _shape(v))
     scanned += cost
-    cost, rhs = _glb_cost(rhs, _Approx.of(pr))
+    cost, rhs = _glb_cost(rhs, _shape(pr))
     scanned += cost
     # Requirement (4): DR ⊑ pR.
     scanned += len(dr)
@@ -477,8 +497,8 @@ def paper_cost_check_send(
     # ES ⊑ rhs: always scans ES; scans the rhs only when ES's default is
     # not already bounded by the rhs's minimum.
     scanned += len(es)
-    if es.default > rhs.lo:
-        scanned += rhs.size
+    if es.default > rhs[1]:
+        scanned += rhs[0]
     return scanned
 
 
@@ -495,12 +515,11 @@ def paper_cost_apply_effects(
     scanned = 0
     if qs.min_level == STAR:
         scanned += len(qs)                       # compute QS* by scanning
-        stars = _Approx(len(qs), STAR, L3)
-        cost, rhs = _glb_cost(_Approx.of(es), stars)
+        cost, rhs = _glb_cost(_shape(es), (len(qs), STAR, L3))
         scanned += cost
     else:
-        rhs = _Approx.of(es)                     # QS* = {3}; ES ⊓ {3} = ES
-    cost, t1 = _glb_cost(_Approx.of(qs), _Approx.of(ds))
+        rhs = _shape(es)                         # QS* = {3}; ES ⊓ {3} = ES
+    cost, t1 = _glb_cost(_shape(qs), _shape(ds))
     scanned += cost
     cost, _ = _lub_cost(t1, rhs)
     scanned += cost
@@ -508,7 +527,7 @@ def paper_cost_apply_effects(
 
 
 def paper_cost_raise_receive(qr: ChunkedLabel, dr: ChunkedLabel) -> int:
-    cost, _ = _lub_cost(_Approx.of(qr), _Approx.of(dr))
+    cost, _ = _lub_cost(_shape(qr), _shape(dr))
     return cost
 
 

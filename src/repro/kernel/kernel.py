@@ -91,7 +91,25 @@ _TOP = ChunkedLabel.from_label(Label.top())
 
 
 def _payload_bytes(payload: Any) -> int:
-    """Cheap size model for message payloads."""
+    """Cheap size model for message payloads.
+
+    Dispatches on the exact built-in types that make up nearly every
+    payload; anything else (subclasses included) takes
+    :func:`_payload_bytes_general`, so both size every value the same.
+    """
+    kind = type(payload)
+    if kind is dict:
+        return 16 + sum([_payload_bytes(k) + _payload_bytes(v) for k, v in payload.items()])
+    if kind is str or kind is bytes:
+        return len(payload)
+    if kind is int or kind is float or payload is None:
+        return 8
+    if kind is list or kind is tuple:
+        return 16 + sum([_payload_bytes(v) for v in payload])
+    return _payload_bytes_general(payload)
+
+
+def _payload_bytes_general(payload: Any) -> int:
     if payload is None:
         return 8
     if isinstance(payload, (bytes, bytearray)):
