@@ -41,7 +41,7 @@ from repro.core import Label, STAR, L0, L1, L2, L3, Handle, HandleAllocator
 from repro.kernel import Kernel, KernelConfig
 from repro.obs import MetricsRegistry, SpanRecorder, kernel_snapshot
 
-__version__ = "1.3.0"
+__version__ = "2.0.0"
 
 __all__ = [
     # label algebra
@@ -78,10 +78,6 @@ __all__ = [
     # the sharded cluster (repro.cluster, DESIGN.md §13)
     "Cluster",
     "ClusterConfig",
-    # the interned-label fast path (repro.core.interning, DESIGN.md §11)
-    "InternTable",
-    "LabelOpCache",
-    "global_intern_table",
     # the labeled durable store (repro.store, DESIGN.md §14)
     "LabeledStore",
     "RecoveryReport",
@@ -103,9 +99,6 @@ _LAZY = {
     "explore": ("repro.analysis.sched", "explore"),
     "scenario_from_topology": ("repro.analysis.sched", "scenario_from_topology"),
     "record_okws_topology": ("repro.okws.topology", "record_okws_topology"),
-    "InternTable": ("repro.core.interning", "InternTable"),
-    "LabelOpCache": ("repro.core.interning", "LabelOpCache"),
-    "global_intern_table": ("repro.core.interning", "global_intern_table"),
     "FaultPlan": ("repro.faults", "FaultPlan"),
     "load_plan": ("repro.faults", "load_plan"),
     "run_campaign": ("repro.faults", "run_campaign"),

@@ -3,7 +3,7 @@
 The kernel's hot paths (:mod:`repro.core.labelops`) are fused,
 sparsity-aware implementations of the Figure 4 operations; the naive
 :class:`~repro.core.labels.Label` operators are the executable
-specification.  With the sanitizer enabled (``Kernel(sanitize=True)``,
+specification.  With the sanitizer enabled (``KernelConfig(sanitize=True)``,
 ``python -m repro run --sanitize``, or the ``REPRO_SANITIZE=1``
 environment variable) every IPC is re-evaluated through the naive
 operators and the two answers are compared:

@@ -14,7 +14,7 @@ Protocol (request → reply, both plain tuples):
                              per-session outcomes, the simulated clock
                              delta, latencies, and any cross-shard outbox
 ``("courier", targets)``     run the cross-shard courier over *targets*
-``("xsend", docs)``          decode wire/v1 *docs*, re-intern, deliver
+``("xsend", docs)``          decode wire/v1 *docs*, deliver
 ``("snapshot", phase)``      drop/label/sanitizer accounting
 ``("stop",)``                clean shutdown
 =========================== =============================================
@@ -34,8 +34,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.interning import global_intern_table
-from repro.cluster.wire import WireDecoder, WireEncoder
+from repro.cluster.wire import LabelTable, WireDecoder, WireEncoder
 from repro.kernel.kernel import Kernel
 from repro.kernel.ports import RemoteRoute
 from repro.okws.sharding import (
@@ -88,7 +87,7 @@ class ShardRuntime:
             network=spec.network,
         )
         self.client = HttpClient(self.site)
-        table = global_intern_table()
+        table = LabelTable()
         self.encoder = WireEncoder(table, src=spec.shard_id)
         self.decoder = WireDecoder(table)
         self._outbox: List[Tuple[int, Dict[str, Any]]] = []
@@ -192,11 +191,6 @@ class ShardRuntime:
                 len(sanitizer.violations) if sanitizer is not None else None
             ),
             "clock_now": kernel.clock.now,
-            "labelop_cache": (
-                kernel.labelop_cache.counters()
-                if kernel.labelop_cache is not None
-                else None
-            ),
         }
 
 

@@ -14,21 +14,21 @@ into a plain JSON-able dict and back:
                 "ds": {"fp": 99...},        # id-only: dst has seen it
                 ...}}
 
-Labels are the expensive part, and interning is what makes them cheap:
+Labels are the expensive part, and content fingerprints make them cheap:
 
 - every label is named by its **fingerprint** — the stable content hash
-  :func:`repro.core.interning.label_fingerprint` — because ``intern_id``
-  is minted per-process and means nothing to a peer;
+  :func:`label_fingerprint` of its ``(default, entries)`` value, the same
+  on every shard, memoized per value by the shard's :class:`LabelTable`;
 - the **first** send of a label to a given destination carries the full
   body: the default and the explicit ``(handle, level)`` entries, levels
   in the 3-bit wire encoding of Section 5.6
   (:func:`~repro.core.levels.level_to_wire`, ``⋆`` = 4);
 - every **subsequent** send of the same label to that destination is
-  id-only.  The decoder resolves it against its shard's local
-  :class:`~repro.core.interning.InternTable` (the *re-intern* step) and
-  keeps a strong reference, so an id-only reference never dangles.
+  id-only.  The decoder resolves it against the labels it has already
+  received and keeps a strong reference to each, so an id-only
+  reference never dangles.
 
-The decoder verifies the fingerprint of every full body it re-interns
+The decoder verifies the fingerprint of every full body it accepts
 (a forged or corrupt id must not poison the receiving table) and raises
 :class:`WireError` on unknown schemas, bare unknown ids, or malformed
 levels — a shard never guesses about cross-shard input.
@@ -36,14 +36,25 @@ levels — a shard never guesses about cross-shard input.
 
 from __future__ import annotations
 
+import hashlib
+import struct
+import weakref
 from dataclasses import dataclass
-from typing import Any, Dict, Set, Tuple
+from typing import Any, Dict, Iterable, Optional, Set, Tuple
 
 from repro.core.chunks import ChunkedLabel
-from repro.core.interning import InternTable
+from repro.core.labels import Label
 from repro.core.levels import level_from_wire, level_to_wire
 
-__all__ = ["WIRE_SCHEMA", "WireDecoder", "WireEncoder", "WireError", "XShardMessage"]
+__all__ = [
+    "WIRE_SCHEMA",
+    "LabelTable",
+    "WireDecoder",
+    "WireEncoder",
+    "WireError",
+    "XShardMessage",
+    "label_fingerprint",
+]
 
 #: The canonical schema tag; a receiver rejects anything else.
 WIRE_SCHEMA = "wire/v1"
@@ -51,6 +62,94 @@ WIRE_SCHEMA = "wire/v1"
 
 class WireError(ValueError):
     """Malformed, unknown-schema, or unresolvable wire/v1 input."""
+
+
+def label_fingerprint(default: int, entries: Iterable[Tuple[int, int]]) -> int:
+    """Stable 64-bit content id for a label value.
+
+    Derived from the canonical ``(default, sorted entries)`` value, so it
+    is identical on every shard; it is what the codec ships when a label
+    has already been sent to a peer.
+    """
+    h = hashlib.blake2b(digest_size=8)
+    h.update(struct.pack("<q", default))
+    for handle, level in entries:
+        h.update(struct.pack("<Qq", handle, level))
+    return int.from_bytes(h.digest(), "little")
+
+
+class LabelTable:
+    """One shard's label ↔ fingerprint memo.
+
+    Keyed by label *value*: a fresh ``ES`` object per send with a value
+    seen before costs one pass over its entries to build the key, never
+    another hash.  Everything is held weakly — a label no live kernel or
+    decoder references lets its memo entries die with it — and a label
+    object fingerprinted before is answered without building its key.
+    """
+
+    def __init__(self) -> None:
+        #: (default, entries) → the first live label with that value.
+        self._by_value: "weakref.WeakValueDictionary[Tuple[Any, ...], ChunkedLabel]" = (
+            weakref.WeakValueDictionary()
+        )
+        #: label object → fingerprint.
+        self._fps: "weakref.WeakKeyDictionary[ChunkedLabel, int]" = (
+            weakref.WeakKeyDictionary()
+        )
+        #: fingerprint → label, for id-only references.
+        self._by_fp: "weakref.WeakValueDictionary[int, ChunkedLabel]" = (
+            weakref.WeakValueDictionary()
+        )
+
+    def fingerprint(self, label: ChunkedLabel) -> int:
+        """The stable cross-process id of *label*.
+
+        Fingerprinted labels become resolvable via :meth:`from_wire`, so a
+        shard can name a label to a peer by id alone once the full body
+        has been shipped.
+        """
+        fp = self._fps.get(label)
+        if fp is not None:
+            return fp
+        key = (label.default, tuple(label.iter_entries()))
+        known = self._by_value.get(key)
+        if known is not None:
+            fp = self._fps[known]
+        else:
+            fp = label_fingerprint(*key)
+            self._by_value[key] = label
+            self._by_fp[fp] = label
+        self._fps[label] = fp
+        return fp
+
+    def from_wire(
+        self,
+        fingerprint: int,
+        default: Optional[int] = None,
+        entries: Optional[Iterable[Tuple[int, int]]] = None,
+    ) -> ChunkedLabel:
+        """Resolve a label received over the wire.
+
+        With only a *fingerprint*, resolves a label this table has seen
+        before (raises ``KeyError`` otherwise — the peer must re-send the
+        body).  With a body, builds the label, verifies the fingerprint
+        actually matches the content (a corrupt or forged id must not
+        poison the table), and registers it for future id-only sends.
+        """
+        got = self._by_fp.get(fingerprint)
+        if got is not None:
+            return got
+        if default is None or entries is None:
+            raise KeyError(f"unknown label fingerprint: {fingerprint:#x}")
+        label = ChunkedLabel.from_label(Label(dict(entries), default))
+        actual = self.fingerprint(label)
+        if actual != fingerprint:
+            raise ValueError(
+                f"label fingerprint mismatch: wire said {fingerprint:#x}, "
+                f"content hashes to {actual:#x}"
+            )
+        return label
 
 
 @dataclass(frozen=True)
@@ -97,7 +196,7 @@ class WireEncoder:
     shipped with a full body; repeats go id-only.
     """
 
-    def __init__(self, table: InternTable, src: int) -> None:
+    def __init__(self, table: LabelTable, src: int) -> None:
         self.table = table
         self.src = src
         self._shipped: Dict[int, Set[int]] = {}
@@ -149,9 +248,9 @@ class WireEncoder:
 
 
 class WireDecoder:
-    """Decodes wire/v1 documents against one shard's intern table."""
+    """Decodes wire/v1 documents against one shard's label table."""
 
-    def __init__(self, table: InternTable) -> None:
+    def __init__(self, table: LabelTable) -> None:
         self.table = table
         #: fp → canonical label.  Strong references: the encoder's id-only
         #: optimization assumes everything it shipped stays resolvable.

@@ -163,12 +163,7 @@ class ChunkedLabel:
         "_size",
         "_los",
         "_nonstar_cache",
-        # Hash-consing support (repro.core.interning): the process-unique
-        # id of this label's canonical instance, or None while the label
-        # has never been interned.  The weakref slot lets the intern
-        # table hold canonical labels without keeping dead kernels'
-        # labels alive.
-        "intern_id",
+        # Lets repro.cluster.wire's fingerprint table hold labels weakly.
         "__weakref__",
     )
 
@@ -207,7 +202,6 @@ class ChunkedLabel:
         self._size = size
         self._los = los
         self._nonstar_cache: Optional[Tuple[Tuple[Handle, Level], ...]] = None
-        self.intern_id: Optional[int] = None
 
     # -- construction -----------------------------------------------------------
 
@@ -286,23 +280,6 @@ class ChunkedLabel:
                 )
             self._nonstar_cache = tuple(entries)
         return self._nonstar_cache
-
-    def without_stars(self) -> "ChunkedLabel":
-        """This label with its explicit ``*`` entries dropped (those handles
-        revert to the default level).
-
-        This is *not* semantically equal to the original label — it is the
-        ⋆-free core the interning cache keys on: a privileged server's
-        label is a stable core plus a churning set of per-connection ``*``
-        capabilities, and the Figure 4 operations either ignore the ``*``
-        entries outright or preserve them verbatim (see
-        ``repro.core.interning`` for the exact side conditions).  With a
-        ``*`` default there is nothing to drop (canonical labels carry no
-        explicit entry equal to their default).
-        """
-        if self.default == STAR or not (self.level_mask & level_bit(STAR)):
-            return self
-        return _build(self.nonstar_entries(), self.default, None)
 
     def memory_bytes(self) -> int:
         """Bytes of kernel memory for this label, counting shared chunks in

@@ -438,7 +438,7 @@ def check_send_reference(
 # algorithms would do; the functions below compute those entry counts from
 # operand sizes in O(1).  The fused ops still execute (the semantics are
 # identical and the Python simulation stays fast); only the *bill* models
-# the 2005 implementation.  ``Kernel(label_cost_mode="fused")`` bills the
+# the 2005 implementation.  ``KernelConfig(label_cost_mode="fused")`` bills the
 # fused counts instead — the ablation measured by bench_label_ops.
 
 

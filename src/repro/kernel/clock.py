@@ -75,17 +75,6 @@ class CostModel:
     spawn: int = 450_000               # full process creation
     handle_alloc: int = 900            # new_handle (cipher + vnode insert)
     port_alloc: int = 1_600            # new_port
-    labelop_cache_hit: int = 120       # interned-id LRU probe replacing a
-                                       # full Figure 4 label operation
-    elide_stub_hit: int = 120          # verified-flow table probe on a
-                                       # proven edge (same flat-LRU shape
-                                       # as a labelop cache hit)
-    elide_deliver_base: int = 2_750    # dequeue/copyout on the verified
-                                       # fastpath: with checks elided the
-                                       # delivery skips the general-case
-                                       # bookkeeping, seL4-fastpath style
-                                       # (DESIGN.md §15); replaces
-                                       # recv_base on stub-hit deliveries
 
     def label_work(self, stats: OpStats) -> int:
         """Convert an OpStats record into cycles."""

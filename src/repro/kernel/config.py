@@ -1,15 +1,9 @@
 """Kernel configuration — the single place run-mode options live.
 
-Historically every option was its own ``Kernel(...)`` keyword with its own
-environment-variable fallback scattered through the constructor.
-:class:`KernelConfig` replaces that surface: a frozen dataclass that is
-validated once, read everywhere, and constructed either explicitly
+:class:`KernelConfig` is a frozen dataclass that is validated once, read
+everywhere, and constructed either explicitly
 (``Kernel(config=KernelConfig(metrics=True))``) or from the environment
 (:meth:`KernelConfig.from_env`, which is what a bare ``Kernel()`` does).
-
-The legacy keywords still work — ``Kernel(trace=True, sanitize=True)``
-builds the equivalent config and emits a :class:`DeprecationWarning` — so
-existing call sites keep running while the tree migrates.
 
 Environment variables (all optional; explicit arguments win):
 
@@ -25,10 +19,6 @@ Environment variables (all optional; explicit arguments win):
 ``REPRO_FAULTS``          path to a ``faultplan/v1`` JSON fault plan
 ``REPRO_FAULT_SEED``      PRNG seed for the fault injector
 ``REPRO_STORE``           path to ok-dbproxy's ``wal/v1`` store file
-``REPRO_INTERN_LABELS``   hash-cons labels + memoize Figure 4 hot ops
-``REPRO_LABELOP_CACHE``   bound on the label-op cache (entries)
-``REPRO_ELIDE``           consult verified-flow proofs to elide checks
-``REPRO_PROOFS``          path to the ``proofs/v1`` document to load
 ======================== ==============================================
 """
 
@@ -111,21 +101,7 @@ class KernelConfig:
       ok-dbproxy backs its tables with a write-ahead-logged
       :class:`~repro.store.store.LabeledStore` at that path (recovering
       it at boot); ``None`` (the default) keeps the bit-identical
-      in-memory path and never imports :mod:`repro.store`;
-    - the interned-label fast path (DESIGN.md §11): ``intern_labels``
-      hash-conses every kernel-resident label through the process-wide
-      :class:`~repro.core.interning.InternTable` and memoizes the three
-      Figure 4 hot operations in a bounded LRU
-      :class:`~repro.core.interning.LabelOpCache` of
-      ``labelop_cache_size`` entries;
-    - proof-guided check elision (DESIGN.md §15): ``elide_checks`` loads
-      the ``proofs/v1`` document at ``proof_path`` into a
-      :class:`~repro.kernel.elide.VerifiedFlowTable` consulted before
-      ``check_send``/``raise_receive`` — a proven, still-valid edge
-      skips the full Figure 4 check and applies the precomputed effect
-      cores; implies the interning machinery (the stub keys are
-      intern-id tuples).  ``elide_checks`` without a ``proof_path`` is
-      valid and simply never hits (an empty table).
+      in-memory path and never imports :mod:`repro.store`.
     """
 
     ram_bytes: Optional[int] = None
@@ -141,10 +117,6 @@ class KernelConfig:
     faults: Optional["FaultPlan"] = None
     fault_seed: int = 0
     store_path: Optional[str] = None
-    intern_labels: bool = False
-    labelop_cache_size: int = 4096
-    elide_checks: bool = False
-    proof_path: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.label_cost_mode not in LABEL_COST_MODES:
@@ -160,10 +132,6 @@ class KernelConfig:
             )
         if self.span_limit <= 0:
             raise ValueError(f"span_limit must be positive, got {self.span_limit}")
-        if self.labelop_cache_size <= 0:
-            raise ValueError(
-                f"labelop_cache_size must be positive, got {self.labelop_cache_size}"
-            )
 
     @classmethod
     def from_env(
@@ -175,8 +143,8 @@ class KernelConfig:
 
         Precedence: explicit ``overrides`` > environment variables >
         dataclass defaults.  ``overrides`` whose value is ``None`` are
-        treated as "unset" for the tri-state options (matching the legacy
-        ``Kernel(sanitize=None)`` convention of "consult the environment").
+        treated as "unset" for the tri-state options: ``sanitize=None`` means
+        "consult the environment".
         """
         env = os.environ if env is None else env
         values: Dict[str, Any] = {}
@@ -217,18 +185,6 @@ class KernelConfig:
         store_path = env.get("REPRO_STORE", "").strip()
         if store_path:
             values["store_path"] = store_path
-        intern = _env_bool(env, "REPRO_INTERN_LABELS")
-        if intern is not None:
-            values["intern_labels"] = intern
-        cache_size = _env_int(env, "REPRO_LABELOP_CACHE")
-        if cache_size is not None:
-            values["labelop_cache_size"] = cache_size
-        elide = _env_bool(env, "REPRO_ELIDE")
-        if elide is not None:
-            values["elide_checks"] = elide
-        proof_path = env.get("REPRO_PROOFS", "").strip()
-        if proof_path:
-            values["proof_path"] = proof_path
         for key, value in overrides.items():
             if value is None and key not in ("ram_bytes",):
                 continue  # "unset": keep the env/default resolution

@@ -56,10 +56,6 @@ class QueuedMessage:
     payload_bytes: int = 0                # modelled message size
     #: Receive rights travelling with this message (Section 4).
     transfer: tuple = ()
-    #: True for cross-shard ingress (``Kernel.enqueue_external``): the
-    #: send-time checks ran on another shard, and per-shard verified-flow
-    #: proofs must never elide the delivery checks for it (DESIGN.md §15).
-    external: bool = False
 
     def to_message(self) -> Message:
         return Message(

@@ -39,7 +39,7 @@ class RemoteRoute:
     hands the already-checked message to the kernel's ``xshard_out`` hook
     for ``wire/v1`` serialization instead of recording a dead-port drop.
     Delivery-time checks (Figure 4 requirements 1 and 4) and effects run
-    on the destination shard, against its own interned labels.
+    on the destination shard, against its own labels.
     """
 
     #: Destination shard index.

@@ -230,142 +230,6 @@ def _sweep(quick: bool, label_cost_mode: str = "paper", config=None):
     return grid, run_session_sweep(grid, label_cost_mode=label_cost_mode, config=config)
 
 
-def _interning_speedup(sessions: int) -> Dict[str, Any]:
-    """Warm-window per-connection cost at *sessions* cached sessions,
-    interned-label fast path off vs on.
-
-    Three identical rounds per kernel: two to let every label reach its
-    per-user fixed point (the regime a long-running server lives in),
-    one measured through a clock snapshot/delta window.  The cache is
-    sized to hold the warm working set (a few keys per user) so the
-    measurement reflects the fast path, not LRU thrash.
-    """
-    from repro.sim.runner import build_echo_site
-    from repro.sim.workload import HttpClient
-
-    out: Dict[str, Any] = {"sessions": sessions, "cache_size": 1 << 16}
-    for key, intern in (("plain_kcycles_conn", False), ("interned_kcycles_conn", True)):
-        site = build_echo_site(
-            sessions,
-            config=KernelConfig(intern_labels=intern, labelop_cache_size=1 << 16),
-        )
-        client = HttpClient(site)
-        requests = [
-            (f"u{i}", f"pw{i}", "echo", None, {"length": 11}) for i in range(sessions)
-        ]
-        for _ in range(2):
-            client.run_batch(requests, concurrency=16)
-        snap = site.kernel.clock.snapshot()
-        client.run_batch(requests, concurrency=16)
-        delta = site.kernel.clock.delta(snap)
-        out[key] = round(sum(delta.values()) / sessions / 1000, 1)
-        if intern:
-            cache = site.kernel.labelop_cache
-            out["hit_rate"] = round(cache.hits / max(1, cache.lookups), 4)
-    out["speedup"] = round(out["plain_kcycles_conn"] / out["interned_kcycles_conn"], 4)
-    return out
-
-
-def _elision_speedup(sessions: int) -> Dict[str, Any]:
-    """Warm-window kernel-IPC cost at *sessions* cached sessions, plain
-    Figure 4 checking vs proof-guided elision (DESIGN.md §15).
-
-    Plain site: two warm-up rounds, a recording round (the
-    :class:`~repro.analysis.extract.TopologyRecorder` rides along, so
-    this round is *not* measured), then a measured round through a clock
-    window.  The recorded topology is compiled to a ``proofs/v1``
-    document and a second site boots with ``elide_checks`` on; its third
-    round — the same round index the recorder saw, so the deterministic
-    handle values line up — is measured through the same window.  The
-    headline is the Kernel-IPC category ratio (that is where checks
-    live); ``total_speedup`` reports the whole-clock ratio alongside so
-    the IPC-window framing cannot oversell the end-to-end win.
-    """
-    import tempfile
-
-    from repro.analysis.extract import TopologyRecorder
-    from repro.analysis.proofs import compile_proofs, write_proofs
-    from repro.kernel.clock import KERNEL_IPC
-    from repro.sim.runner import build_echo_site
-    from repro.sim.workload import HttpClient
-
-    requests = [
-        (f"u{i}", f"pw{i}", "echo", None, {"length": 11}) for i in range(sessions)
-    ]
-    out: Dict[str, Any] = {"sessions": sessions}
-
-    # Recording pass: warm to the per-user fixed point, then record one
-    # round.  Separate from the measured plain site so recorder overhead
-    # never lands in the baseline window.
-    site = build_echo_site(sessions, config=KernelConfig())
-    client = HttpClient(site)
-    for _ in range(2):
-        client.run_batch(requests, concurrency=16)
-    recorder = TopologyRecorder(site.kernel)
-    client.run_batch(requests, concurrency=16)
-    doc = compile_proofs(recorder.build(f"echo-site-{sessions}"))
-    out["proof_stats"] = doc["stats"]
-
-    with tempfile.NamedTemporaryFile(
-        mode="w", suffix=".json", prefix="repro-bench-proofs-", delete=False
-    ) as fh:
-        proof_path = fh.name
-    try:
-        write_proofs(doc, proof_path)
-        windows: Dict[str, Dict[str, float]] = {}
-        for key, config in (
-            ("plain", KernelConfig()),
-            (
-                "elided",
-                KernelConfig(
-                    intern_labels=True,
-                    elide_checks=True,
-                    proof_path=proof_path,
-                    labelop_cache_size=1 << 16,
-                ),
-            ),
-        ):
-            mside = build_echo_site(sessions, config=config)
-            mclient = HttpClient(mside)
-            for _ in range(2):
-                mclient.run_batch(requests, concurrency=16)
-            snap = mside.kernel.clock.snapshot()
-            mclient.run_batch(requests, concurrency=16)
-            delta = mside.kernel.clock.delta(snap)
-            windows[key] = {
-                "ipc": delta.get(KERNEL_IPC, 0.0),
-                "total": sum(delta.values()),
-            }
-            out[f"{key}_ipc_kcycles_conn"] = round(
-                delta.get(KERNEL_IPC, 0.0) / sessions / 1000, 1
-            )
-            if key == "elided":
-                table = mside.kernel.flow_table
-                counters = table.counters() if table is not None else {}
-                out["elide"] = {
-                    name: counters.get(name)
-                    for name in (
-                        "valid",
-                        "deliver_hits",
-                        "send_hits",
-                        "misses",
-                        "batch_drains",
-                        "batched_messages",
-                        "invalidations",
-                        "quarantines",
-                    )
-                }
-    finally:
-        os.unlink(proof_path)
-    out["speedup"] = round(
-        windows["plain"]["ipc"] / max(1.0, windows["elided"]["ipc"]), 4
-    )
-    out["total_speedup"] = round(
-        windows["plain"]["total"] / max(1.0, windows["elided"]["total"]), 4
-    )
-    return out
-
-
 def _cluster_single_shard_point(sessions: int) -> float:
     """Throughput through the ``repro.cluster`` facade at ``n_shards=1``.
 
@@ -390,7 +254,7 @@ def _cluster_single_shard_point(sessions: int) -> float:
 def run_fig7(quick: bool, sweep=None) -> Dict[str, Any]:
     """Figure 7: throughput vs cached sessions, plus the observability
     overhead measurement (disabled vs enabled wall time on point one)
-    and the interned-label fast-path speedup at the top grid point."""
+    and the single-shard cluster identity path."""
     from repro.baselines import ApacheCgiModel, ModApacheModel
 
     if sweep is None:
@@ -420,19 +284,6 @@ def run_fig7(quick: bool, sweep=None) -> Dict[str, Any]:
     snapshot["obs_disabled_seconds"] = round(disabled_s, 4)
     snapshot["obs_enabled_seconds"] = round(enabled_s, 4)
 
-    # Interned-label fast path (DESIGN.md §11): warm-window speedup at
-    # the top grid point.  The guard pins this series like any other, so
-    # a change that erodes the cache's hit rate or fast-path billing
-    # fails CI; the full grid demonstrates the paper-scale win (≥ 1.15x
-    # at 3000 cached sessions).
-    speed = _interning_speedup(grid[-1])
-
-    # Proof-guided check elision (DESIGN.md §15): warm-window Kernel-IPC
-    # speedup of the verified-flow fastpath over plain checking at the
-    # top grid point, guarded like the interning series so eroding the
-    # stub hit rate or the invalidation scoping fails CI.
-    elide = _elision_speedup(grid[-1])
-
     # The repro.cluster identity path (DESIGN.md §13), guarded like any
     # other series: n_shards=1 must stay a thin facade over this kernel.
     cluster_sessions = grid[1] if len(grid) > 1 else grid[0]
@@ -444,12 +295,6 @@ def run_fig7(quick: bool, sweep=None) -> Dict[str, Any]:
         {
             "okws_throughput": _series(
                 [p.sessions for p in points], [p.throughput for p in points], "conn/s"
-            ),
-            "interning_speedup": _series(
-                [speed["sessions"]], [speed["speedup"]], "x"
-            ),
-            "elision_speedup": _series(
-                [elide["sessions"]], [elide["speedup"]], "x"
             ),
             "cluster_single_shard": _series(
                 [cluster_sessions], [cluster_conn_s], "conn/s"
@@ -475,18 +320,6 @@ def run_fig7(quick: bool, sweep=None) -> Dict[str, Any]:
                 "",
             ),
             comparison(
-                f"interned fast path speedup at {speed['sessions']} sessions",
-                1.15 if not quick else "n/a (reduced grid)",
-                speed["speedup"],
-                "x",
-            ),
-            comparison(
-                f"proof-elision speedup at {elide['sessions']} sessions",
-                1.5 if not quick else "n/a (reduced grid)",
-                elide["speedup"],
-                "x",
-            ),
-            comparison(
                 f"cluster facade (1 shard) at {cluster_sessions} sessions",
                 "n/a (guarded series)",
                 cluster_conn_s,
@@ -498,8 +331,6 @@ def run_fig7(quick: bool, sweep=None) -> Dict[str, Any]:
             "grid": grid,
             "apache_conn_s": round(apache.throughput, 1),
             "mod_apache_conn_s": round(mod_apache.throughput, 1),
-            "interning": speed,
-            "elision": elide,
             "cluster_single_shard_sessions": cluster_sessions,
         },
     )
@@ -533,23 +364,6 @@ def run_fig8(quick: bool) -> Dict[str, Any]:
         )
         for label, lats in rows.items()
     ]
-    # Interned fast path at the big operating point: comparison row only, not a
-    # guarded series — latency improvements would trip a one-sided guard.
-    from repro.kernel.config import KernelConfig
-
-    interned_lats = run_latency_experiment(
-        big,
-        n_requests=min(n, 200),
-        config=KernelConfig(intern_labels=True, labelop_cache_size=1 << 16),
-    )
-    comparisons.append(
-        comparison(
-            f"median latency: OKWS, {big} sessions (interned)",
-            "n/a (fast path)",
-            percentile(interned_lats, 50),
-            "us",
-        )
-    )
     # Sharding the same operating point across two kernels (DESIGN.md
     # §13): each shard sees half the users, so per-connection label scans
     # shrink and median latency should drop below the single-kernel row.
@@ -769,8 +583,7 @@ def _scale_point(
     """One cell of the scale grid: a full cluster run at *n_shards*.
 
     Sanitizer sampled at 1/64 (the production-shaped setting the sharded
-    deployment runs with) and the interned-label fast path on — the
-    configuration DESIGN.md §13 describes.  Cluster throughput is total
+    deployment runs with) — the configuration DESIGN.md §13 describes.  Cluster throughput is total
     connections over the *slowest* shard's simulated busy time: shards
     run on independent simulated CPUs, so host scheduling of the worker
     processes cannot perturb the measurement.
@@ -787,7 +600,7 @@ def _scale_point(
     config = ClusterConfig(
         n_shards=n_shards,
         users=users,
-        kernel=KernelConfig(sanitize=True, intern_labels=True),
+        kernel=KernelConfig(sanitize=True),
         sanitize_sample=64,
         concurrency=concurrency,
     )
@@ -984,9 +797,8 @@ def guard_files(
     ``us``, ``pages``) the sense flips: fresh must stay ``<= (1 +
     tolerance)`` of the baseline, so pinning ``BENCH_labelops.json``
     actually catches a label-op slowdown instead of rewarding it.  The
-    CI use is pinning fig7 throughput (and the interning/elision speedup
-    series) so machinery riding along in the kernel hot path cannot
-    quietly tax it.
+    CI use is pinning fig7 throughput and the label-op costs so
+    machinery riding along in the kernel hot path cannot quietly tax it.
 
     Returns a list of human-readable problems (empty = guard passes).
     """

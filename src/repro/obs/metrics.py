@@ -220,19 +220,8 @@ def kernel_snapshot(kernel) -> Dict[str, Any]:
     run with metrics disabled.
     """
     stats = kernel.label_stats
-    cache = kernel.labelop_cache
     return {
-        "config": {
-            "intern_labels": kernel.config.intern_labels,
-            "labelop_cache_size": kernel.config.labelop_cache_size,
-            "label_cost_mode": kernel.config.label_cost_mode,
-            "elide_checks": kernel.config.elide_checks,
-            "proof_path": kernel.config.proof_path,
-        },
-        "labelop_cache": cache.counters() if cache is not None else None,
-        "elide": (
-            kernel.flow_table.counters() if kernel.flow_table is not None else None
-        ),
+        "config": {"label_cost_mode": kernel.config.label_cost_mode},
         "metrics": kernel.metrics.snapshot(),
         "clock": {
             "now_cycles": kernel.clock.now,

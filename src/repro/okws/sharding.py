@@ -24,7 +24,7 @@ Two small cluster-only processes ride on top of the ordinary
 
 Both the send-side checks (requirements 2 and 3, run on the courier's
 shard) and the delivery-side checks (1 and 4, run on the board's shard
-against its own interned labels) are the verbatim kernel paths — the
+against its own labels) are the verbatim kernel paths — the
 wire only moves ``(message, labels, effects)`` between them.
 
 The user→shard map is :func:`shard_of_user` — a CRC of the user name, so

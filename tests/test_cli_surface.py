@@ -1,4 +1,4 @@
-"""The unified CLI surface: shared options, exit codes, legacy aliases."""
+"""The unified CLI surface: shared options and exit codes."""
 
 from __future__ import annotations
 
@@ -36,17 +36,6 @@ def test_out_default_is_none_everywhere():
 def test_sarif_is_a_usage_error_outside_the_analysis_commands(command):
     extra = ["--plan", "nonexistent.json"] if command == "chaos" else []
     assert main([command, *extra, "--format", "sarif"]) == 2
-
-
-def test_legacy_json_flags_still_parse():
-    parser = build_parser()
-    for command in ("analyze", "check", "explore"):
-        assert parser.parse_args([command, "--json"]).json is True
-    # chaos --json FILE was "write the chaos-report here": now an alias
-    # for --out.
-    assert parser.parse_args(["chaos", "--plan", "p", "--json", "report.json"]).out == (
-        "report.json"
-    )
 
 
 def test_analyze_writes_report_to_out(tmp_path):

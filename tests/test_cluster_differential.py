@@ -8,10 +8,10 @@ set of board-delivered digests, and the drop accounting — the doomed
 ``V = {0}`` couriers are rejected by Figure 4 requirement (1) *wherever*
 the destination board lives, so ``label-check`` totals match even
 though at 2+ shards some of those checks run on a different OS process
-against re-interned labels.
+against labels decoded from wire/v1.
 
 The per-shard sampled sanitizer (1/16 here) rides along and must stay
-silent: re-interned cross-shard labels go through the same differential
+silent: decoded cross-shard labels go through the same differential
 cross-check as home-grown ones.
 """
 
@@ -33,7 +33,7 @@ def _run(n_shards):
     config = ClusterConfig(
         n_shards=n_shards,
         users=USERS,
-        kernel=KernelConfig(sanitize=True, intern_labels=True),
+        kernel=KernelConfig(sanitize=True),
         sanitize_sample=16,
     )
     with Cluster(config) as cluster:

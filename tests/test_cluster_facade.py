@@ -129,7 +129,7 @@ def test_single_shard_sampled_sanitizer_is_clean():
     config = ClusterConfig(
         n_shards=1,
         users=USERS,
-        kernel=KernelConfig(sanitize=True, intern_labels=True),
+        kernel=KernelConfig(sanitize=True),
         sanitize_sample=8,
     )
     with Cluster(config) as cluster:

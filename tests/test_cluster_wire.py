@@ -3,7 +3,7 @@
 The cross-shard wire is the one place labels leave a kernel's process,
 so the codec gets property-level coverage: any label (⋆-bearing ones
 included — ``⋆`` has its own wire encoding) must survive
-encode → decode onto a *different* intern table with its content
+encode → decode onto a *different* label table with its content
 fingerprint intact, and a receiver must reject anything it cannot
 verify rather than guess.
 """
@@ -15,12 +15,13 @@ from hypothesis import given, strategies as st
 
 from repro.cluster.wire import (
     WIRE_SCHEMA,
+    LabelTable,
     WireDecoder,
     WireEncoder,
     WireError,
+    label_fingerprint,
 )
 from repro.core.chunks import ChunkedLabel
-from repro.core.interning import InternTable, label_fingerprint
 from repro.core.labels import Label
 from repro.core.levels import ALL_LEVELS, STAR
 from repro.kernel.config import KernelConfig
@@ -51,9 +52,9 @@ payloads = st.recursive(
 
 
 def _codec_pair():
-    """A sender/receiver pair with independent intern tables — the
+    """A sender/receiver pair with independent label tables — the
     cross-process situation the codec exists for."""
-    sender, receiver = InternTable(), InternTable()
+    sender, receiver = LabelTable(), LabelTable()
     return WireEncoder(sender, src=0), WireDecoder(receiver)
 
 
@@ -158,7 +159,7 @@ def test_malformed_level_code_is_rejected():
         decoder.decode(doc)
 
 
-# -- the fingerprint layer (repro.core.interning) ----------------------------
+# -- the fingerprint layer (LabelTable) ---------------------------------------
 
 
 def test_label_fingerprint_is_content_stable():
@@ -173,14 +174,36 @@ def test_label_fingerprint_is_content_stable():
 
 
 def test_from_wire_returns_the_canonical_instance():
-    table = InternTable()
-    label = table.intern(_chunked(Label({7: 3}, 1)))
+    table = LabelTable()
+    label = _chunked(Label({7: 3}, 1))
     fp = table.fingerprint(label)
     assert table.from_wire(fp) is label
     rebuilt = table.from_wire(fp, label.default, tuple(label.iter_entries()))
     assert rebuilt is label
     with pytest.raises(KeyError):
         table.from_wire(fp ^ 1)
+
+
+def test_fingerprint_memo_is_keyed_by_value(monkeypatch):
+    # A fresh label object per send with a value seen before must not
+    # re-run the content hash.
+    from repro.cluster import wire
+
+    table = LabelTable()
+    first = _chunked(Label({7: 3, 9: STAR}, 1))
+    fp = table.fingerprint(first)
+    calls = []
+    monkeypatch.setattr(
+        wire, "label_fingerprint", lambda *args: calls.append(args) or 0
+    )
+    again = _chunked(Label({7: 3, 9: STAR}, 1))
+    assert again is not first
+    assert table.fingerprint(again) == fp
+    assert table.fingerprint(first) == fp
+    assert calls == []
+    # A different value does hash.
+    table.fingerprint(_chunked(Label({7: 2}, 1)))
+    assert len(calls) == 1
 
 
 def test_interning_survives_sanitize_sample_config():

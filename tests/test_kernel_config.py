@@ -1,4 +1,4 @@
-"""KernelConfig: validation, env precedence, and the legacy-kwarg shim."""
+"""KernelConfig: validation, env precedence, and how a Kernel takes it."""
 
 import pytest
 
@@ -73,23 +73,16 @@ def test_from_env_overrides_beat_environment():
 
 
 def test_from_env_none_override_means_unset():
-    # The legacy Kernel(sanitize=None) contract: None consults the env.
+    # None consults the environment.
     env = {"REPRO_SANITIZE": "1"}
     config = KernelConfig.from_env(env=env, sanitize=None)
     assert config.sanitize is True
 
 
-def test_legacy_kwargs_warn_and_work():
-    with pytest.warns(DeprecationWarning):
-        kernel = Kernel(trace=True, sanitize=True)
-    assert kernel.trace is True
-    assert kernel.config.sanitize is True
-    assert kernel.sanitizer is not None
-
-
-def test_legacy_kwargs_conflict_with_config():
-    with pytest.raises(ValueError):
-        Kernel(trace=True, config=KernelConfig())
+def test_kernel_takes_options_only_through_config():
+    with pytest.raises(TypeError):
+        Kernel(trace=True)  # type: ignore[call-arg]
+    assert Kernel(config=KernelConfig(trace=True)).trace is True
 
 
 def test_config_drives_kernel():
@@ -99,57 +92,3 @@ def test_config_drives_kernel():
     plain = Kernel(config=KernelConfig())
     assert not plain.metrics.enabled
     assert plain.spans is None
-
-
-# -- the interned-label fast path knobs (DESIGN.md §11) -----------------------------
-
-
-def test_interning_defaults_off():
-    config = KernelConfig()
-    assert config.intern_labels is False
-    assert config.labelop_cache_size == 4096
-
-
-def test_interning_validation():
-    with pytest.raises(ValueError):
-        KernelConfig(labelop_cache_size=0)
-    with pytest.raises(ValueError):
-        KernelConfig(labelop_cache_size=-8)
-
-
-def test_interning_from_env_round_trip():
-    env = {"REPRO_INTERN_LABELS": "1", "REPRO_LABELOP_CACHE": "512"}
-    config = KernelConfig.from_env(env=env)
-    assert config.intern_labels is True
-    assert config.labelop_cache_size == 512
-
-
-def test_interning_env_falsy_and_unset():
-    assert KernelConfig.from_env(env={"REPRO_INTERN_LABELS": "off"}).intern_labels is False
-    config = KernelConfig.from_env(env={})
-    assert config.intern_labels is False
-    assert config.labelop_cache_size == 4096
-
-
-def test_interning_explicit_overrides_beat_environment():
-    env = {"REPRO_INTERN_LABELS": "1", "REPRO_LABELOP_CACHE": "512"}
-    config = KernelConfig.from_env(env=env, intern_labels=False, labelop_cache_size=64)
-    assert config.intern_labels is False
-    assert config.labelop_cache_size == 64
-
-
-def test_interning_replace_round_trip():
-    config = KernelConfig().replace(intern_labels=True, labelop_cache_size=128)
-    assert config.intern_labels is True
-    assert config.labelop_cache_size == 128
-    assert config.replace(intern_labels=False).labelop_cache_size == 128
-
-
-def test_interning_config_drives_kernel():
-    kernel = Kernel(config=KernelConfig(intern_labels=True, labelop_cache_size=128))
-    assert kernel.labelop_cache is not None
-    assert kernel.labelop_cache.size == 128
-    assert kernel.intern_table is not None
-    plain = Kernel(config=KernelConfig())
-    assert plain.labelop_cache is None
-    assert plain.intern_table is None
