@@ -129,7 +129,7 @@ def replay_trace(
                 "not replayable (it would spawn a fresh event process)"
             )
         receiver = tasks[port.owner]
-        drops_before = len(kernel.drop_log.records)
+        drops_before = kernel.drop_log.total
         if edge.sender == WIRE:
             kernel.inject(port.handle, {"replay": step.index})
         else:
@@ -145,9 +145,8 @@ def replay_trace(
                 ),
             )
         kernel.run()
-        new_drops = kernel.drop_log.records[drops_before:]
-        delivered = not new_drops
-        drop = new_drops[-1][0] if new_drops else None
+        delivered = kernel.drop_log.total == drops_before
+        drop = None if delivered else kernel.drop_log.tail[-1][0]
         actual = ReplayStep(
             index=step.index,
             edge=step.edge,

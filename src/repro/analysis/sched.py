@@ -288,7 +288,7 @@ class Scenario:
             "scenario": self.name,
             "decisions": [point.to_json() for point in source.log],
             "steps": [step.key for step in observer.steps],
-            "drops": [list(record) for record in kernel.drop_log.records],
+            "drops": [list(record) for record in kernel.drop_log.tail],
             "breaches": [b.to_json() for b in breaches],
             "sanitizer": sanitizer_violations,
             "faultlog": fault_events.decode(),

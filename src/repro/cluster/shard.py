@@ -92,7 +92,7 @@ class ShardRuntime:
         self.decoder = WireDecoder(table)
         self._outbox: List[Tuple[int, Dict[str, Any]]] = []
         self.kernel.xshard_out = self._on_xshard_out
-        self._drops_mark = 0
+        self._drops_mark: Dict[str, int] = {}
 
     # -- egress ----------------------------------------------------------
 
@@ -173,13 +173,15 @@ class ShardRuntime:
 
     def mark_drops(self) -> None:
         """Start a drop-accounting phase (e.g. after boot, before load)."""
-        self._drops_mark = len(self.kernel.drop_log.records)
+        self._drops_mark = dict(self.kernel.drop_log.by_reason)
 
     def snapshot(self) -> Dict[str, Any]:
         kernel = self.kernel
         drops: Dict[str, int] = {}
-        for reason, _, _ in kernel.drop_log.records[self._drops_mark :]:
-            drops[reason] = drops.get(reason, 0) + 1
+        for reason, count in kernel.drop_log.by_reason.items():
+            count -= self._drops_mark.get(reason, 0)
+            if count:
+                drops[reason] = count
         sanitizer = kernel.sanitizer
         return {
             "shard": self.spec.shard_id,

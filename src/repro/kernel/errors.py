@@ -17,8 +17,8 @@ Errors fall into two classes with very different security treatment:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Tuple
+from collections import deque
+from typing import Deque, Dict, List, Tuple
 
 
 class KernelError(Exception):
@@ -58,26 +58,44 @@ DROP_QUEUE_LIMIT = "queue-limit"          # resource exhaustion
 DROP_FAULT = "fault-injected"             # repro.faults injected drop
 
 
-@dataclass
+#: Most recent drop records a :class:`DropLog` keeps for inspection.  The
+#: per-reason counts stay exact however many drops fall off the tail.
+DROP_TAIL = 1024
+
+
 class DropLog:
     """Out-of-band record of silently dropped messages.
 
     Only the experiment harness and the test suite read this; simulated
     programs have no syscall that exposes it (it would otherwise be a
-    storage channel).
+    storage channel).  It keeps exact counts (a total and one per reason)
+    and the last :data:`DROP_TAIL` ``(reason, sender, where)`` records, so
+    its memory stays fixed however long a run drops messages.
     """
 
-    records: List[Tuple[str, str, str]] = field(default_factory=list)
-    enabled: bool = True
+    def __init__(self, enabled: bool = True):
+        self.enabled = enabled
+        self.total = 0
+        self.by_reason: Dict[str, int] = {}
+        self.tail: Deque[Tuple[str, str, str]] = deque(maxlen=DROP_TAIL)
+
+    @property
+    def records(self) -> List[Tuple[str, str, str]]:
+        """The recent records, oldest first (at most :data:`DROP_TAIL`)."""
+        return list(self.tail)
 
     def record(self, reason: str, sender: str, port: str) -> None:
         if self.enabled:
-            self.records.append((reason, sender, port))
+            self.total += 1
+            self.by_reason[reason] = self.by_reason.get(reason, 0) + 1
+            self.tail.append((reason, sender, port))
 
     def count(self, reason: str = "") -> int:
         if not reason:
-            return len(self.records)
-        return sum(1 for r, _, _ in self.records if r == reason)
+            return self.total
+        return self.by_reason.get(reason, 0)
 
     def clear(self) -> None:
-        self.records.clear()
+        self.total = 0
+        self.by_reason.clear()
+        self.tail.clear()

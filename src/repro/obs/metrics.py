@@ -227,10 +227,7 @@ def kernel_snapshot(kernel) -> Dict[str, Any]:
             "now_cycles": kernel.clock.now,
             "by_category": dict(kernel.clock.by_category),
         },
-        "drops": {
-            reason: kernel.drop_log.count(reason)
-            for reason in sorted({r for r, _, _ in kernel.drop_log.records})
-        },
+        "drops": dict(sorted(kernel.drop_log.by_reason.items())),
         "label_ops": {
             "operations": stats.operations,
             "entries_scanned": stats.entries_scanned,

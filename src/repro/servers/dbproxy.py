@@ -27,7 +27,8 @@ at ``⋆`` (via BIND), so receiving tainted queries never contaminates it.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, Optional, Tuple
 
 from repro.core.handles import Handle
 from repro.core.labels import Label
@@ -35,7 +36,7 @@ from repro.core.levels import L0, L2, L3, STAR
 from repro.db import sql as S
 from repro.db.engine import Database
 from repro.ipc import protocol as P
-from repro.ipc.rpc import CallTimeout, Channel
+from repro.ipc.rpc import Channel
 from repro.kernel.errors import InvalidArgument
 from repro.kernel.syscalls import ChangeLabel, NewPort, Recv, Send, SetPortLabel
 
@@ -50,8 +51,8 @@ ROW_SCAN_CYCLES = 100
 QUERY_BASE_CYCLES = 28_000
 
 #: Per-attempt deadline (cycles of simulated time) on the idd AFFIRM
-#: round trip, and retries after the first attempt.  Without this a
-#: single dropped AFFIRM leg wedges dbproxy — and every worker behind it.
+#: round trip, doubled on each of the retries after the first attempt.
+#: A write whose AFFIRM legs are all dropped fails "idd unavailable".
 AFFIRM_TIMEOUT = 1_400_000_000
 AFFIRM_RETRIES = 2
 
@@ -96,6 +97,32 @@ class WriteDedupCache:
 
     def __len__(self) -> int:
         return len(self._entries)
+
+
+@dataclass
+class _Write:
+    """A policy-checked worker write: what running it needs, plus its
+    AFFIRM round trip while it waits parked on idd."""
+
+    payload: Dict[str, Any]
+    reply: Handle
+    ast: S.Statement
+    params: Tuple[Any, ...]
+    uid: int
+    taint: Handle
+    declassified: bool
+    #: The AFFIRM request (stamped ``reply``/``req``), re-sent verbatim.
+    affirm: Optional[Dict[str, Any]] = None
+    idd_port: Optional[Handle] = None
+    #: Absolute cycle deadline of the current attempt, and how many
+    #: re-sends have gone out (attempt k waits AFFIRM_TIMEOUT << k).
+    deadline: int = 0
+    resends: int = 0
+
+    @property
+    def key(self) -> Tuple[Handle, Any]:
+        """The worker's replay-dedup key, (reply port, req)."""
+        return (self.reply, self.payload.get("req"))
 
 
 def _classify(sql_text: str) -> S.Statement:
@@ -186,17 +213,94 @@ def dbproxy_body(ctx):
     # campaigns must not grow it without limit.
     completed_writes = WriteDedupCache(WRITE_DEDUP_MAX)
 
+    # Writes waiting for idd's AFFIRM_R, keyed by the AFFIRM req.  idd's
+    # LOGIN calls our admin port to check a password, so a write that
+    # blocked on idd could deadlock the pair (DESIGN.md §10.3).  A write
+    # parks here instead, and the loop keeps serving until its AFFIRM_R
+    # arrives on chan.port or its deadline passes.
+    parked: Dict[int, _Write] = {}
+
     def charge(result) -> None:
         ctx.compute(QUERY_BASE_CYCLES + ROW_SCAN_CYCLES * result.rows_scanned)
         ctx.count("queries")
 
+    def run_write(w: _Write):
+        """Execute an affirmed (or unaffirmable: no idd yet) write, reply,
+        and remember the reply for replay."""
+        owner = PUBLIC_USER_ID if w.declassified else w.uid
+        try:
+            rewritten = _rewrite_write(w.ast, owner, w.uid, w.declassified)
+            if store is None:
+                result = db.run(rewritten, w.params)
+            else:
+                # Persist the security facts with the write: the user's
+                # taint compartment (for a declassified write, the
+                # compartment the ⋆ proof covered) and the contamination
+                # level its rows raise readers to.
+                result = store.apply(
+                    rewritten,
+                    w.params,
+                    owner=owner,
+                    taint=RowTaint(handles=(w.taint,), level=L3),
+                    declass=w.declassified,
+                )
+        except S.SqlError as err:
+            yield Send(w.reply, P.reply_to(w.payload, P.ERROR_R, error=str(err)))
+            return
+        charge(result)
+        out = P.reply_to(w.payload, P.QUERY_R, rows_affected=result.rows_affected)
+        out_cs = None if w.declassified else Label({w.taint: L3}, STAR)
+        if w.key[1] is not None:
+            completed_writes.put(w.key, (out, out_cs))
+        yield Send(w.reply, out, cs=out_cs)
+
+    def expire_affirms():
+        """Re-send every overdue AFFIRM (same req, doubled deadline); fail
+        the write once its retries are spent."""
+        now = ctx.now
+        for affirm_req, w in list(parked.items()):
+            if w.deadline > now:
+                continue
+            if w.resends < AFFIRM_RETRIES:
+                w.resends += 1
+                yield Send(w.idd_port, dict(w.affirm))
+                w.deadline = ctx.now + (AFFIRM_TIMEOUT << w.resends)
+            else:
+                del parked[affirm_req]
+                yield Send(
+                    w.reply, P.reply_to(w.payload, P.ERROR_R, error="idd unavailable")
+                )
+
     while True:
-        msg = yield Recv()
+        # The receive is bounded only while a write is parked, so an idle
+        # dbproxy still lets the kernel quiesce.
+        timeout = None
+        if parked:
+            yield from expire_affirms()
+            if parked:
+                soonest = min(w.deadline for w in parked.values())
+                timeout = max(1, soonest - ctx.now)
+        msg = yield Recv(timeout=timeout)
+        if msg is None:
+            continue  # an AFFIRM deadline passed; handled at the loop top
         payload = msg.payload
         if not isinstance(payload, dict):
             continue
         mtype = payload.get("type")
         reply = payload.get("reply")
+
+        # ---- idd answers a parked write's AFFIRM ----------------------------------
+        if msg.port == chan.port:
+            w = parked.pop(payload.get("req"), None) if mtype == "AFFIRM_R" else None
+            if w is None:
+                continue  # a late duplicate answer to a re-sent AFFIRM
+            if payload.get("ok"):
+                yield from run_write(w)
+            else:
+                yield Send(
+                    w.reply, P.reply_to(w.payload, P.ERROR_R, error="binding rejected")
+                )
+            continue
 
         # ---- idd binds a user's handles (and made us privileged via DS) ----
         if msg.port == grant_port:
@@ -327,14 +431,18 @@ def dbproxy_body(ctx):
 
         if isinstance(ast, (S.Insert, S.Update, S.Delete)):
             req = payload.get("req")
-            cached = completed_writes.get((reply, req)) if req is not None else None
-            if cached is not None:
-                # A replayed write we already executed (only its reply was
-                # lost): re-send the recorded reply, do not run it again.
-                ctx.count("write_replays")
-                cached_payload, cached_cs = cached
-                yield Send(reply, dict(cached_payload), cs=cached_cs)
-                continue
+            if req is not None:
+                cached = completed_writes.get((reply, req))
+                if cached is not None:
+                    # A replayed write we already executed (only its reply
+                    # was lost): re-send the recorded reply, do not run it
+                    # again.
+                    ctx.count("write_replays")
+                    cached_payload, cached_cs = cached
+                    yield Send(reply, dict(cached_payload), cs=cached_cs)
+                    continue
+                if any(w.key == (reply, req) for w in parked.values()):
+                    continue  # a retry of a write still waiting on idd
             uid = username_uid
             taint = taint_of.get(uid)
             grant = grant_of.get(uid)
@@ -352,55 +460,18 @@ def dbproxy_body(ctx):
                         P.reply_to(payload, P.ERROR_R, error="verify label rejected"),
                     )
                     continue
-            # Affirm the binding with idd (Section 7.5) — bounded: a
-            # dropped AFFIRM leg must fail this write, not wedge dbproxy
-            # (and every worker queued behind it) forever.
-            if idd_port is not None:
-                try:
-                    affirmation = yield from chan.call(
-                        idd_port,
-                        P.request("AFFIRM", uid=uid, taint=taint, grant=grant),
-                        deadline=AFFIRM_TIMEOUT,
-                        retries=AFFIRM_RETRIES,
-                    )
-                except CallTimeout:
-                    yield Send(
-                        reply,
-                        P.reply_to(payload, P.ERROR_R, error="idd unavailable"),
-                    )
-                    continue
-                if not affirmation.payload.get("ok"):
-                    yield Send(
-                        reply,
-                        P.reply_to(payload, P.ERROR_R, error="binding rejected"),
-                    )
-                    continue
-            owner = PUBLIC_USER_ID if declassified else uid
-            try:
-                rewritten = _rewrite_write(ast, owner, uid, declassified)
-                if store is None:
-                    result = db.run(rewritten, params)
-                else:
-                    # Persist the security facts with the write: the
-                    # user's taint compartment (for a declassified write,
-                    # the compartment the ⋆ proof covered) and the
-                    # contamination level its rows raise readers to.
-                    result = store.apply(
-                        rewritten,
-                        params,
-                        owner=owner,
-                        taint=RowTaint(handles=(taint,), level=L3),
-                        declass=declassified,
-                    )
-            except S.SqlError as err:
-                yield Send(reply, P.reply_to(payload, P.ERROR_R, error=str(err)))
+            w = _Write(payload, reply, ast, params, uid, taint, declassified)
+            if idd_port is None:
+                yield from run_write(w)
                 continue
-            charge(result)
-            out = P.reply_to(payload, P.QUERY_R, rows_affected=result.rows_affected)
-            out_cs = None if declassified else Label({taint: L3}, STAR)
-            if req is not None:
-                completed_writes.put((reply, req), (out, out_cs))
-            yield Send(reply, out, cs=out_cs)
+            # Affirm the binding with idd (Section 7.5), then park the
+            # write until the answer comes back.
+            w.affirm = P.request("AFFIRM", uid=uid, taint=taint, grant=grant)
+            w.idd_port = idd_port
+            affirm_req = yield from chan.call_nowait(idd_port, w.affirm)
+            w.affirm.update(reply=chan.port, req=affirm_req)
+            w.deadline = ctx.now + AFFIRM_TIMEOUT
+            parked[affirm_req] = w
             continue
 
         # SELECT: per-row contamination (Section 7.5).

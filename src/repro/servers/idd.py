@@ -24,13 +24,21 @@ from repro.core.handles import Handle
 from repro.core.labels import Label
 from repro.core.levels import L3, STAR
 from repro.ipc import protocol as P
-from repro.ipc.rpc import Channel
+from repro.ipc.rpc import CallTimeout, Channel
 from repro.kernel.syscalls import NewHandle, NewPort, Recv, Send, SetPortLabel
 
 #: Cycles of idd application logic per login (parsing, cache handling).
 LOGIN_CYCLES = 45_000
 #: Cycles per binding affirmation.
 AFFIRM_CYCLES = 4_000
+
+#: Per-attempt deadline (cycles of simulated time) on the password lookup
+#: through ok-dbproxy's admin port, doubled on each retry after the
+#: first.  The lookup is read-only and stale replies are discarded by
+#: ``req``, so retrying is safe; unbounded, one dropped QUERY_R would
+#: wedge idd and every later LOGIN.
+LOOKUP_TIMEOUT = 1_400_000_000
+LOOKUP_RETRIES = 2
 
 
 def idd_body(ctx):
@@ -66,14 +74,22 @@ def idd_body(ctx):
 
         if mtype == P.LOGIN:
             ctx.compute(LOGIN_CYCLES)
-            result = yield from chan.call(
-                admin_port,
-                P.request(
-                    P.QUERY,
-                    sql="SELECT uid FROM users WHERE name = ? AND password = ?",
-                    params=(payload.get("user"), payload.get("password")),
-                ),
-            )
+            try:
+                result = yield from chan.call(
+                    admin_port,
+                    P.request(
+                        P.QUERY,
+                        sql="SELECT uid FROM users WHERE name = ? AND password = ?",
+                        params=(payload.get("user"), payload.get("password")),
+                    ),
+                    deadline=LOOKUP_TIMEOUT,
+                    retries=LOOKUP_RETRIES,
+                )
+            except CallTimeout:
+                # No answer is not "wrong password": send no LOGIN_R, and
+                # ok-demux's pending sweep answers 503 with retry-after.
+                ctx.count("lookup_timeouts")
+                continue
             rows = result.payload.get("rows", [])
             if not rows:
                 if reply is not None:

@@ -3,22 +3,39 @@ through a running OKWS site plus direct protocol probes."""
 
 import pytest
 
-from repro.core.levels import STAR
+from repro.core.labels import Label
+from repro.core.levels import L0, L2, L3, STAR
+from repro.faults import FaultInjector, FaultPlan, FaultRule
 from repro.ipc import protocol as P
 from repro.ipc.rpc import Channel
-from repro.kernel.syscalls import Recv, Send
+from repro.kernel import Kernel, KernelConfig
+from repro.kernel.clock import OTHER
+from repro.kernel.syscalls import ChangeLabel, NewPort, Recv, Send, SetPortLabel
 from repro.okws import ServiceConfig, launch
-from repro.okws.services import notes_handler
+from repro.okws.services import notes_handler, profile_handler
+from repro.servers.dbproxy import AFFIRM_RETRIES, AFFIRM_TIMEOUT
+from repro.servers.idd import LOOKUP_RETRIES, LOOKUP_TIMEOUT
 from repro.sim.workload import HttpClient
 
 
-@pytest.fixture()
-def site():
+def notes_site(kernel=None):
     return launch(
+        kernel=kernel,
         services=[ServiceConfig("notes", notes_handler)],
         users=[("alice", "pw-a"), ("bob", "pw-b")],
         schema=["CREATE TABLE notes (author TEXT, text TEXT)"],
     )
+
+
+@pytest.fixture()
+def site():
+    return notes_site()
+
+
+@pytest.fixture()
+def metered_site():
+    """A site whose kernel records ``app.*`` counters."""
+    return notes_site(Kernel(config=KernelConfig(metrics=True)))
 
 
 def probe(site, script, name="probe"):
@@ -31,6 +48,82 @@ def probe(site, script, name="probe"):
     proc = site.kernel.spawn(body, name)
     site.kernel.run()
     return proc
+
+
+def task_named(site, name):
+    return next(p for p in site.kernel.processes.values() if p.name == name)
+
+
+def inject(site, *rules):
+    """Arm a fault plan on an already-booted site; returns the injector."""
+    injector = FaultInjector(FaultPlan.of(*rules), kernel=site.kernel)
+    site.kernel.faults = injector
+    return injector
+
+
+def login(site, chan, user, password):
+    """LOGIN as *user* and accept rows tainted with their compartment;
+    returns (uid, uT, uG)."""
+    r = yield from chan.call(
+        site.idd_port, P.request(P.LOGIN, user=user, password=password)
+    )
+    yield ChangeLabel(raise_receive={r.payload["taint"]: L3})
+    return r.payload["uid"], r.payload["taint"], r.payload["grant"]
+
+
+def send_write(site, chan, who, req, text="x"):
+    """Send one note INSERT as *who*, stamped with the worker-style *req*."""
+    uid, taint, grant = who
+    yield Send(
+        site.dbproxy_port,
+        P.request(
+            P.QUERY,
+            reply=chan.port,
+            sql="INSERT INTO notes (author, text) VALUES ('a', ?)",
+            params=(text,),
+            uid=uid,
+            req=req,
+        ),
+        v=Label({taint: L3, grant: L0}, L2),
+    )
+
+
+def await_reply(chan, req):
+    """The next reply on *chan* echoing *req*."""
+    while True:
+        msg = yield Recv(port=chan.port)
+        if msg.payload.get("req") == req:
+            return msg.payload
+
+
+def select_notes(site, chan, uid, req):
+    """Every note row visible to the probe, collected up to DONE_R."""
+    yield Send(
+        site.dbproxy_port,
+        P.request(
+            P.QUERY, reply=chan.port, sql="SELECT text FROM notes", uid=uid, req=req
+        ),
+    )
+    rows = []
+    while True:
+        payload = yield from await_reply(chan, req)
+        if payload["type"] == P.DONE_R:
+            return rows
+        rows.append(payload["row"])
+
+
+def fake_idd(site):
+    """Open a port and point ok-dbproxy's AFFIRMs at it, so the probe
+    decides when (and whether) each AFFIRM_R comes back."""
+    port = yield NewPort()
+    yield SetPortLabel(port, Label.top())
+    grant_port = task_named(site, "ok-dbproxy").env["dbproxy_grant_port"]
+    yield Send(grant_port, P.request("SET_IDD", port=port))
+    return port
+
+
+def affirm_ok(affirm):
+    yield Send(affirm.payload["reply"], P.reply_to(affirm.payload, "AFFIRM_R", ok=True))
 
 
 # -- idd ---------------------------------------------------------------------------------
@@ -119,6 +212,62 @@ def test_idd_send_label_grows_two_stars_per_user(site):
     # Re-login does not grow it further.
     client.request("alice", "pw-a", "notes", args={"op": "list"})
     assert len(idd.send_label) == after
+
+
+def test_idd_answers_the_next_login_after_a_dropped_lookup_reply(metered_site):
+    site = metered_site
+    # Every attempt of the first LOGIN's password lookup loses its QUERY_R.
+    idd = task_named(site, "idd")
+    (lookup_port,) = idd.owned_ports - {site.idd_port}
+    injector = inject(
+        site,
+        FaultRule(
+            kind="drop",
+            id="lost-lookup",
+            match="ok-dbproxy",
+            port=lookup_port,
+            max_fires=1 + LOOKUP_RETRIES,
+        ),
+    )
+
+    def script(ctx, chan):
+        yield from chan.call_nowait(
+            site.idd_port, P.request(P.LOGIN, user="alice", password="pw-a")
+        )
+        start = ctx.now
+        r = yield from chan.call(
+            site.idd_port, P.request(P.LOGIN, user="bob", password="pw-b")
+        )
+        return r.payload, ctx.now - start
+
+    result = probe(site, script).env.get("result")
+    assert result is not None, "idd is wedged on the lost lookup"
+    payload, waited = result
+    assert payload["ok"] and payload["uid"] == 2
+    assert injector.fired("lost-lookup") == 1 + LOOKUP_RETRIES
+    # The first LOGIN got no LOGIN_R: it spent every lookup deadline.
+    assert waited >= LOOKUP_TIMEOUT * (1 + 2 + 4)
+    assert site.kernel.metrics.get("app.OKWS.lookup_timeouts") == 1
+
+
+def test_lost_lookup_degrades_to_503_then_recovers(site):
+    idd = task_named(site, "idd")
+    (lookup_port,) = idd.owned_ports - {site.idd_port}
+    inject(
+        site,
+        FaultRule(
+            kind="drop",
+            id="lost-lookup",
+            match="ok-dbproxy",
+            port=lookup_port,
+            max_fires=1 + LOOKUP_RETRIES,
+        ),
+    )
+    client = HttpClient(site)
+    first = client.request("alice", "pw-a", "notes", args={"op": "list"})
+    # Not a 403: an unanswered lookup says nothing about the password.
+    assert first.payload["status"] == 503 and "retry_after" in first.payload
+    assert client.request("alice", "pw-a", "notes", args={"op": "list"}).ok
 
 
 # -- ok-dbproxy -------------------------------------------------------------------------
@@ -222,3 +371,99 @@ def test_select_returns_public_rows_untainted(site):
     # The probe is untainted: alice's private row is dropped by the kernel,
     # so the probe sees nothing — and cannot tell how many rows were sent.
     assert probe(site, script).env["result"] == []
+
+
+# -- asynchronous AFFIRM (DESIGN.md §10.3) ----------------------------------------------
+
+
+def test_concurrent_cold_writes_do_not_wedge_dbproxy_and_idd():
+    # Cold sets at concurrency 16: LOGINs (idd -> dbproxy admin port)
+    # overlap writes (dbproxy -> idd AFFIRM).  A dbproxy that blocked on
+    # AFFIRM deadlocked the pair until its deadlines ran out.
+    users = [(f"user{i}", f"pw{i}") for i in range(16)]
+    site = launch(
+        services=[ServiceConfig("profile", profile_handler)],
+        users=users,
+        schema=["CREATE TABLE profiles (owner TEXT, bio TEXT)"],
+    )
+    client = HttpClient(site)
+    before = site.kernel.clock.snapshot()
+    responses = client.run_batch(
+        [(user, pw, "profile", f"{user}:bio", {"op": "set"}) for user, pw in users],
+        concurrency=16,
+    )
+    idle = site.kernel.clock.delta(before).get(OTHER, 0)
+    assert [r.body for r in responses] == ["profile saved"] * 16
+    assert idle < 100_000_000
+
+
+def test_parked_write_does_not_block_selects_or_admin_queries(site):
+    def script(ctx, chan):
+        alice = yield from login(site, chan, "alice", "pw-a")
+        idd = yield from fake_idd(site)
+        yield from send_write(site, chan, alice, "w-1")
+        affirm = yield Recv(port=idd)  # withheld until the end
+        start = ctx.now
+        rows = yield from select_notes(site, chan, alice[0], "s-1")
+        # idd checks bob's password through dbproxy's admin port.
+        bob = yield from login(site, chan, "bob", "pw-b")
+        served = ctx.now - start
+        yield from affirm_ok(affirm)
+        write = yield from await_reply(chan, "w-1")
+        after = yield from select_notes(site, chan, alice[0], "s-2")
+        return rows, bob[0], served, write, after
+
+    rows, bob_uid, served, write, after = probe(site, script).env["result"]
+    assert rows == []
+    assert bob_uid == 2
+    assert served < AFFIRM_TIMEOUT
+    assert write["type"] == P.QUERY_R and write["rows_affected"] == 1
+    assert after == [{"text": "x"}]
+
+
+def test_write_fails_after_every_affirm_attempt_is_dropped(site):
+    injector = inject(
+        site,
+        FaultRule(kind="drop", id="lost-affirm", match="ok-dbproxy", port=site.idd_port),
+    )
+
+    def script(ctx, chan):
+        alice = yield from login(site, chan, "alice", "pw-a")
+        start = ctx.now
+        yield from send_write(site, chan, alice, "w-1")
+        reply = yield from await_reply(chan, "w-1")
+        return reply, ctx.now - start
+
+    reply, waited = probe(site, script).env["result"]
+    assert reply["type"] == P.ERROR_R and reply["error"] == "idd unavailable"
+    assert injector.fired("lost-affirm") == 1 + AFFIRM_RETRIES
+    # Per-attempt deadlines T, 2T, 4T; the rest is a few syscalls.
+    deadlines = AFFIRM_TIMEOUT * (1 + 2 + 4)
+    assert deadlines <= waited < deadlines + AFFIRM_TIMEOUT // 100
+
+
+def test_retry_of_a_parked_write_runs_it_once(metered_site):
+    site = metered_site
+    def script(ctx, chan):
+        alice = yield from login(site, chan, "alice", "pw-a")
+        idd = yield from fake_idd(site)
+        yield from send_write(site, chan, alice, "w-1")
+        affirm = yield Recv(port=idd)
+        yield from send_write(site, chan, alice, "w-1")  # the worker retries
+        # dbproxy serves in arrival order: once this SELECT is answered it
+        # has seen the retry.
+        yield from select_notes(site, chan, alice[0], "s-1")
+        second_affirm = yield Recv(port=idd, block=False)
+        yield from affirm_ok(affirm)
+        write = yield from await_reply(chan, "w-1")
+        yield from send_write(site, chan, alice, "w-1")  # a retry after it ran
+        replay = yield from await_reply(chan, "w-1")
+        rows = yield from select_notes(site, chan, alice[0], "s-2")
+        return second_affirm, write, replay, rows
+
+    second_affirm, write, replay, rows = probe(site, script).env["result"]
+    assert second_affirm is None
+    assert write["type"] == P.QUERY_R and write["rows_affected"] == 1
+    assert replay == write
+    assert rows == [{"text": "x"}]
+    assert site.kernel.metrics.get("app.OKDB.write_replays") == 1

@@ -7,6 +7,7 @@ import pytest
 from repro.core.labels import Label
 from repro.core.levels import L1, L3
 from repro.kernel import Kernel, KernelConfig, NewPort, Recv, Send, SetPortLabel
+from repro.kernel.errors import DROP_TAIL
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry, NULL, kernel_snapshot
 
 
@@ -129,6 +130,41 @@ def test_drop_counters_reconcile_with_drop_log():
     assert total_metric_drops == drops.count() > 0
     for reason in ("label-check", "dead-port", "queue-limit", "port-label"):
         assert kernel.metrics.get(f"kernel.ipc.drops.{reason}") == drops.count(reason)
+
+
+def test_drop_counts_stay_exact_past_the_drop_log_tail():
+    kernel = _obs_kernel()
+    state = {}
+    extra = 100
+
+    def receiver(ctx):
+        port = yield NewPort()
+        yield SetPortLabel(port, Label.top())
+        state["port"] = port
+        msg = yield Recv(port=port)
+        state["got"] = msg.payload
+
+    def sender(ctx):
+        taint = (yield from _new_handle(ctx))
+        for i in range(DROP_TAIL + extra):
+            yield Send(state["port"], i, cs=Label({taint: L3}, L1))
+        yield Send(state["port"], "clean")
+
+    kernel.spawn(receiver, "receiver")
+    kernel.run()
+    kernel.spawn(sender, "sender")
+    kernel.run()
+
+    assert state["got"] == "clean"
+    drops = kernel.drop_log
+    assert drops.count() == drops.count("label-check") == DROP_TAIL + extra
+    assert kernel.metrics.get("kernel.ipc.drops.label-check") == DROP_TAIL + extra
+    assert kernel_snapshot(kernel)["drops"] == {"label-check": DROP_TAIL + extra}
+    # Only the tail is kept, newest last.
+    assert len(drops.records) == DROP_TAIL
+    assert drops.records[-1][:2] == ("label-check", "sender")
+    drops.clear()
+    assert drops.count() == 0 and drops.records == []
 
 
 def _new_handle(ctx):
