@@ -4,7 +4,8 @@
 Boots OKWS, creates a few hundred cached sessions, and prints the
 quantities the paper measures: memory per cached session (Figure 6),
 throughput (Figure 7), and the per-connection cycle breakdown by
-component (Figure 9).  The full-scale versions live in benchmarks/.
+component (Figure 9).  ``python -m repro bench`` regenerates the
+full-scale figures, with a verdict on each of the paper's shape claims.
 
 Run:  python examples/session_scaling.py
 """
@@ -35,7 +36,7 @@ def main() -> None:
             f"{k}={v:.0f}" for k, v in sorted(p.components_kcycles.items())
         )
         print(f"  {p.sessions:>8} {p.throughput:>8.0f} {p.total_kcycles:>7.0f}K  {comps}")
-    print("\nAt full scale (benchmarks/bench_fig7_throughput.py) the label and")
+    print("\nAt full scale (python -m repro bench, BENCH_fig9.json) the label and")
     print("database costs grow linearly until kernel IPC overtakes the network")
     print("stack — the paper's Figure 9 in motion.")
 

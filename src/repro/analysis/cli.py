@@ -55,7 +55,8 @@ replayable ``faultplan/v1`` counterexample (``--plan-out``/``--replay``).  ``ben
 as ``BENCH_<figure>.json`` documents; ``--scale`` selects the sharded
 ``repro.cluster`` scaling bench (DESIGN.md §13), ``--validate`` checks
 existing documents instead, and ``--guard`` fails on regressions
-against committed baselines.
+against committed baselines.  ``bench`` also exits 1 when a comparison
+row's verdict (``ok``) is false: a figure lost the paper's shape.
 """
 
 from __future__ import annotations
@@ -115,7 +116,10 @@ def _cmd_tour() -> int:
         f"   throughput: {point.throughput:.0f} conn/s at 1 session "
         "(paper regime: OKWS ≈ half of Mod-Apache, above Apache)"
     )
-    print("\nSee examples/ for full walkthroughs and benchmarks/ for the figures.")
+    print(
+        "\nSee examples/ for full walkthroughs and `python -m repro bench` "
+        "for the figures."
+    )
     return 0
 
 
@@ -515,6 +519,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     except ValueError as err:
         print(f"repro bench: {err}", file=sys.stderr)
         return 2
+    failed = bench.failed_verdicts(paths)
     guard_problems: Optional[List[str]] = None
     if args.guard:
         guard_problems = bench.guard_files(
@@ -523,29 +528,33 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.format == "json":
         print(
             json.dumps(
-                {"written": paths, "guard_problems": guard_problems},
+                {
+                    "written": paths,
+                    "failed_verdicts": failed,
+                    "guard_problems": guard_problems,
+                },
                 indent=2,
                 sort_keys=True,
             )
         )
     else:
         print(f"repro bench: {len(paths)} document(s) written")
-    if guard_problems is not None:
-        if guard_problems:
-            for problem in guard_problems:
-                print(f"repro bench: guard: {problem}", file=sys.stderr)
-            print(
-                f"repro bench: guard FAILED ({len(guard_problems)} regression(s) "
-                f"beyond {args.tolerance:.0%})",
-                file=sys.stderr,
-            )
-            return 1
-        if args.format != "json":
-            print(
-                f"repro bench: guard passed ({len(args.guard)} baseline(s) "
-                f"within {args.tolerance:.0%})"
-            )
-    return 0
+    for row in failed:
+        print(f"repro bench: verdict failed: {row}", file=sys.stderr)
+    if guard_problems:
+        for problem in guard_problems:
+            print(f"repro bench: guard: {problem}", file=sys.stderr)
+        print(
+            f"repro bench: guard FAILED ({len(guard_problems)} problem(s); "
+            f"tolerance {args.tolerance:.0%})",
+            file=sys.stderr,
+        )
+    elif guard_problems is not None and args.format != "json":
+        print(
+            f"repro bench: guard passed ({len(args.guard)} baseline(s) "
+            f"within {args.tolerance:.0%})"
+        )
+    return 1 if failed or guard_problems else 0
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:

@@ -439,7 +439,8 @@ def check_send_reference(
 # operand sizes in O(1).  The fused ops still execute (the semantics are
 # identical and the Python simulation stays fast); only the *bill* models
 # the 2005 implementation.  ``KernelConfig(label_cost_mode="fused")`` bills the
-# fused counts instead — the ablation measured by bench_label_ops.
+# fused counts instead — the ablation ``python -m repro bench`` writes to
+# ``BENCH_labelops.json``.
 
 
 # A label flowing through the modelled operator chain is abstracted as a

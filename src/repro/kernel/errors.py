@@ -73,8 +73,7 @@ class DropLog:
     its memory stays fixed however long a run drops messages.
     """
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self) -> None:
         self.total = 0
         self.by_reason: Dict[str, int] = {}
         self.tail: Deque[Tuple[str, str, str]] = deque(maxlen=DROP_TAIL)
@@ -85,10 +84,9 @@ class DropLog:
         return list(self.tail)
 
     def record(self, reason: str, sender: str, port: str) -> None:
-        if self.enabled:
-            self.total += 1
-            self.by_reason[reason] = self.by_reason.get(reason, 0) + 1
-            self.tail.append((reason, sender, port))
+        self.total += 1
+        self.by_reason[reason] = self.by_reason.get(reason, 0) + 1
+        self.tail.append((reason, sender, port))
 
     def count(self, reason: str = "") -> int:
         if not reason:

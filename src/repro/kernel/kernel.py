@@ -140,7 +140,7 @@ class Kernel:
         #: "paper" bills label work as the 2005 implementation would pay it
         #: (linear scans with only the min/max short-circuits — reproduces
         #: Figure 9); "fused" bills the sparsity-aware operations actually
-        #: executed (the future-work optimisation; see bench_label_ops).
+        #: executed (the future-work optimisation; see BENCH_labelops.json).
         self.label_cost_mode = config.label_cost_mode
         self.clock = CycleClock()
         self.allocator = HandleAllocator(key=config.boot_key)

@@ -4,6 +4,8 @@ One function per experiment family:
 
 - :func:`run_memory_experiment` — Figure 6: total memory (pages) after
   creating N cached or active web sessions.
+- :func:`run_fork_vs_ep_experiment` — Section 6's motivation: per-session
+  memory and creation cost of event processes vs forked processes.
 - :func:`run_session_sweep` — Figures 7 and 9: throughput and the
   per-connection component cycle breakdown as the number of cached
   sessions varies (each user connects to its session exactly 4 times,
@@ -11,8 +13,8 @@ One function per experiment family:
 - :func:`run_latency_experiment` — Figure 8: request latencies at
   concurrency 4 for a given number of cached sessions.
 
-Results are plain dataclasses so the benchmarks can print the paper's
-rows/series and the tests can assert on shapes.
+Results are plain dataclasses so ``python -m repro bench`` can write the
+paper's rows/series and the tests can assert on shapes.
 """
 
 from __future__ import annotations
@@ -20,10 +22,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.labels import Label
 from repro.kernel.clock import CPU_HZ
 from repro.kernel.config import KernelConfig
 from repro.kernel.kernel import Kernel
 from repro.kernel.memory import PAGE_SIZE
+from repro.kernel.syscalls import (
+    EpCheckpoint,
+    EpClean,
+    EpYield,
+    NewPort,
+    Recv,
+    Send,
+    SetPortLabel,
+    Spawn,
+)
 from repro.okws.launcher import OkwsSite, ServiceConfig, launch
 from repro.okws.services import echo_handler, session_cache_handler
 from repro.sim.workload import HttpClient
@@ -121,6 +134,96 @@ def run_memory_experiment(
             )
         )
     return points
+
+
+@dataclass
+class ForkVsEpResult:
+    sessions: int
+    ep_pages: float          # pages per session, one event process each
+    fork_pages: float        # pages per session, one forked process each
+    ep_cycles: float         # creation cycles per session
+    fork_cycles: float
+    ep_processes: int        # schedulable processes left in each kernel
+    fork_processes: int
+
+
+# Size of the fork-vs-EP ablation: user sessions, and state bytes per session.
+FORK_VS_EP_SESSIONS = 300
+FORK_VS_EP_SESSION_BYTES = 1000
+
+
+def run_fork_vs_ep_experiment() -> ForkVsEpResult:
+    """Section 6's motivation as an ablation: the same per-user session
+    state held by one event process per user vs one forked process per
+    user (the "resource-heavy" pre-Asbestos design), on the same kernel.
+    """
+    # Event processes: one base process, one EP per user session.
+    ep_kernel = Kernel()
+
+    def event_body(ectx, msg):
+        ectx.mem.store("session", b"s" * FORK_VS_EP_SESSION_BYTES)
+        yield Send(msg.payload["reply"], {"ok": True})
+        yield EpClean(keep=("session",))
+        yield EpYield()
+
+    def base(ctx):
+        port = yield NewPort()
+        yield SetPortLabel(port, Label.top())
+        ctx.env["port"] = port
+        yield EpCheckpoint(event_body)
+
+    def collector(ctx):
+        reply = yield NewPort()
+        yield SetPortLabel(reply, Label.top())
+        ctx.env["reply"] = reply
+        while True:
+            yield Recv(port=reply)
+
+    worker = ep_kernel.spawn(base, "worker")
+    coll = ep_kernel.spawn(collector, "collector")
+    ep_kernel.run()
+    ep_baseline = ep_kernel.memory_report()["total_bytes"]
+    ep_start = ep_kernel.clock.now
+    for _ in range(FORK_VS_EP_SESSIONS):
+        ep_kernel.inject(worker.env["port"], {"reply": coll.env["reply"]})
+    ep_kernel.run()
+
+    # Forked processes: one full process per user session.
+    fork_kernel = Kernel()
+
+    def session_proc(ctx):
+        ctx.mem.store("session", b"s" * FORK_VS_EP_SESSION_BYTES)
+        port = yield NewPort()
+        yield SetPortLabel(port, Label.top())
+        yield Send(ctx.env["reply"], {"ok": True})
+        while True:
+            yield Recv(port=port)
+
+    def forker(ctx):
+        reply = yield NewPort()
+        yield SetPortLabel(reply, Label.top())
+        for i in range(FORK_VS_EP_SESSIONS):
+            yield Spawn(session_proc, name=f"session{i}", env={"reply": reply})
+            yield Recv(port=reply)
+
+    fork_baseline = fork_kernel.memory_report()["total_bytes"]
+    fork_start = fork_kernel.clock.now
+    fork_kernel.spawn(forker, "forker")
+    fork_kernel.run()
+
+    def per_session_pages(kernel, baseline):
+        grown = kernel.memory_report()["total_bytes"] - baseline
+        return grown / FORK_VS_EP_SESSIONS / PAGE_SIZE
+
+    return ForkVsEpResult(
+        sessions=FORK_VS_EP_SESSIONS,
+        ep_pages=per_session_pages(ep_kernel, ep_baseline),
+        fork_pages=per_session_pages(fork_kernel, fork_baseline),
+        ep_cycles=(ep_kernel.clock.now - ep_start) / FORK_VS_EP_SESSIONS,
+        fork_cycles=(fork_kernel.clock.now - fork_start) / FORK_VS_EP_SESSIONS,
+        ep_processes=len(ep_kernel.processes),
+        fork_processes=len(fork_kernel.processes),
+    )
 
 
 # -- Figures 7 and 9 -----------------------------------------------------------------

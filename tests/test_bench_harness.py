@@ -16,7 +16,9 @@ def _minimal_doc():
         "quick": True,
         "series": {"s": {"x": [1, 2], "y": [3, 4], "unit": "u"}},
         "comparisons": [
-            {"name": "n", "paper": 1.0, "measured": 2.0, "ratio": 2.0, "unit": "x"}
+            {"name": "n", "paper": 1.0, "measured": 2.0, "ratio": 2.0, "unit": "x"},
+            {"name": "v", "paper": 1.0, "measured": 1.0, "ratio": 1.0, "unit": "x", "ok": True},
+            {"name": "g", "paper": "n/a", "measured": 1.0, "ratio": None, "unit": "", "ok": None},
         ],
         "metrics": None,
         "meta": {},
@@ -39,6 +41,7 @@ def test_validate_accepts_minimal():
         lambda d: d.update(comparisons=[]),
         lambda d: d.update(comparisons=[{"name": "n"}]),
         lambda d: d.update(metrics=7),
+        lambda d: d["comparisons"][1].update(ok="yes"),
     ],
 )
 def test_validate_rejects_malformed(mutate):
@@ -53,6 +56,8 @@ def test_comparison_ratio():
     assert bench.comparison("x", "n/a", 3.0)["ratio"] is None
     assert bench.comparison("x", 0, 3.0)["ratio"] is None
     assert bench.comparison("ok", True, True)["ratio"] == 1.0
+    assert bench.comparison("x", 2.0, 3.0)["ok"] is None
+    assert bench.comparison("x", 2.0, 3.0, ok=False)["ok"] is False
 
 
 def test_run_bench_unknown_figure(tmp_path):
@@ -76,11 +81,30 @@ def test_run_bench_writes_valid_fig6(tmp_path):
     assert metrics["metrics"]["kernel.ipc.sends"] > 0
     assert metrics["label_ops"]["fast_path"] > 0
     assert metrics["spans_recorded"] > 0
-    # Slopes landed in the calibrated bands (same claim bench_fig6 makes).
+    # Slopes landed in the calibrated bands, and every verdict holds.
     by_name = {row["name"]: row for row in doc["comparisons"]}
     assert 1.2 <= by_name["pages per cached session"]["measured"] <= 1.8
+    assert by_name["pages per cached session"]["ok"] is True
+    assert bench.failed_verdicts(paths) == []
     # validate_files agrees with validate.
     assert bench.validate_files(paths) == {paths[0]: []}
+
+
+@pytest.mark.parametrize("ok, code", [(False, 1), (None, 0), (True, 0)])
+def test_bench_exit_code_follows_verdicts(tmp_path, monkeypatch, capsys, ok, code):
+    """A row whose verdict is false fails ``repro bench``; a row with no
+    verdict (``ok: null``) does not."""
+    from repro.analysis import cli
+
+    def runner(quick):
+        doc = _minimal_doc()
+        doc["comparisons"] = [bench.comparison("shape claim", 1.0, 2.0, "x", ok=ok)]
+        return doc
+
+    monkeypatch.setitem(bench._RUNNERS, "fig6", runner)
+    assert cli.main(["bench", "--only", "fig6", "--out", str(tmp_path)]) == code
+    if ok is False:
+        assert "verdict failed: BENCH_fig6.json: shape claim" in capsys.readouterr().err
 
 
 def test_validate_files_reports_bad_json(tmp_path):
@@ -143,3 +167,8 @@ def test_guard_flags_missing_series_and_grid_changes(tmp_path):
     problems = _guard_pair(tmp_path, "BENCH_fig7.json", base, fresh)
     assert any("x-grid changed" in p for p in problems)
     assert any("missing from fresh run" in p for p in problems)
+    # A series the fresh run writes but the baseline lacks is a stale
+    # baseline the point-wise walk would never see.
+    fresh = dict(base, c={"x": [1], "y": [1.0], "unit": "x"})
+    problems = _guard_pair(tmp_path, "BENCH_fig7.json", base, fresh)
+    assert problems == ["BENCH_fig7.json: fresh series 'c' missing from baseline"]

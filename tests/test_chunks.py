@@ -3,7 +3,7 @@
 
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.core.chunks import CHUNK_CAPACITY, Chunk, ChunkedLabel, OpStats, shared_memory_bytes
 from repro.core.labels import Label
@@ -19,6 +19,15 @@ labels = st.builds(
 
 def big_label(n: int, level=L3, default=L1) -> Label:
     return Label({i * 7 + 1: level for i in range(n)}, default)
+
+
+def interleaved_pair(n: int):
+    """The join's worst case: no min/max hint applies, so the merge walks
+    all 2n entries; half of each side rises to 3, the rest normalises."""
+    return (
+        Label({i * 2: L3 if i % 2 else L1 for i in range(n)}, L2),
+        Label({i * 2 + 1: L1 if i % 2 else L3 for i in range(n)}, L2),
+    )
 
 
 # -- structure -----------------------------------------------------------------
@@ -97,6 +106,10 @@ def test_leq_matches_reference(a, b):
 
 
 @given(labels, labels)
+@example(*interleaved_pair(64))
+@example(*interleaved_pair(512))
+@example(*interleaved_pair(4096))
+@example(*interleaved_pair(16384))
 def test_lub_matches_reference(a, b):
     got = ChunkedLabel.from_label(a).lub(ChunkedLabel.from_label(b))
     assert got.to_label() == (a | b)
@@ -125,6 +138,13 @@ def test_lub_short_circuit_returns_operand():
     assert big.lub(low, stats) is big
     assert stats.chunks_allocated == 0
     assert stats.entries_scanned == 0
+    # The skip touches no entry at any size.
+    bottom = ChunkedLabel.from_label(Label.bottom())
+    for size in (64, 512, 4096, 16384):
+        big = ChunkedLabel.from_label(big_label(size, level=L2, default=L2))
+        stats = OpStats()
+        assert big.lub(bottom, stats) is big
+        assert stats.entries_scanned == 0
 
 
 def test_glb_short_circuit_returns_operand():
@@ -145,6 +165,11 @@ def test_merge_shares_unchanged_chunks():
     assert updated.to_label() == big.to_label().with_entry(1, STAR)
     assert stats.chunks_shared >= 4
     assert stats.chunks_allocated == 1
+    # Inserting one fresh handle into a 16,384-entry label stays chunk-local.
+    huge = ChunkedLabel.from_label(big_label(16384))
+    stats = OpStats()
+    sparse_update(huge, {5: STAR}, stats)
+    assert stats.entries_scanned < len(huge) / 10
 
 
 def test_opstats_merge_and_reset():

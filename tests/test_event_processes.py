@@ -18,6 +18,7 @@ from repro.kernel import (
     Send,
     SetPortLabel,
 )
+from repro.kernel.clock import CostModel
 from repro.kernel.event_process import EP_STRUCT_BYTES
 from repro.kernel.memory import PAGE_SIZE
 from repro.kernel.process import PROCESS_STRUCT_BYTES, TaskState
@@ -47,6 +48,9 @@ def test_kernel_struct_sizes_match_paper():
     # comparison, Asbestos's minimal process structure takes 320 bytes."
     assert EP_STRUCT_BYTES == 44
     assert PROCESS_STRUCT_BYTES == 320
+    # The modelled creation costs keep the same order-of-magnitude gap.
+    cost = CostModel()
+    assert cost.ep_create < cost.spawn / 10
 
 
 def test_new_ep_per_message_to_base_port(kernel):
@@ -225,12 +229,18 @@ def test_ep_clean_reverts_pages(kernel):
 
     proc = kernel.spawn(body, "worker")
     kernel.run()
+    base_pages = kernel.accountant.in_use
     kernel.inject(proc.env["port"], 1)
     kernel.run()
     dropped, shared, session = log[0]
     assert shared == b"clean"               # reverted to base contents
     assert session == {"n": 1}              # session region survived
     assert dropped >= 3                     # stack, xstack, msgq, shared
+    # A dormant EP keeps exactly its session page: 100 EPs, 100 pages.
+    for n in range(2, 101):
+        kernel.inject(proc.env["port"], n)
+    kernel.run()
+    assert kernel.accountant.in_use - base_pages == 100
 
 
 def test_ep_exit_frees_resources(kernel):

@@ -86,6 +86,9 @@ def test_run_memory_experiment_monotonic():
     points = run_memory_experiment([0, 50])
     assert points[1].total_pages > points[0].total_pages
     assert points[1].user_pages > points[0].user_pages
+    # Labels, not EP structs, dominate a cached session's kernel bytes
+    # (Section 9.1: "event processes, labels, and handles").
+    assert points[1].breakdown["label_bytes"] > points[1].breakdown["ep_bytes"]
 
 
 def test_run_latency_experiment_returns_microseconds():
