@@ -4,7 +4,7 @@ The ISSUE with hand-transcribed models is that they drift: the checker
 verifies the wiring you *wrote down*, not the wiring the launcher
 actually built.  :class:`TopologyRecorder` closes the gap — attach it to
 a :class:`~repro.kernel.kernel.Kernel` (it registers itself on
-``kernel.hooks``), run the system, and :meth:`~TopologyRecorder.build`
+``kernel.attach``), run the system, and :meth:`~TopologyRecorder.build`
 returns the observed :class:`~repro.analysis.model.Topology`: every
 process and event process with its labels, every port, and every
 distinct (sender, port, cs/ds/v/dr) send the code attempted — delivered
@@ -117,7 +117,7 @@ class _PortObs:
 class TopologyRecorder:
     """A passive kernel observer that accumulates a checkable model.
 
-    Attach before the system boots (``TopologyRecorder(kernel)`` hooks
+    Attach before the system boots (``TopologyRecorder(kernel)`` attaches
     itself) so spawns, mints and label changes are all seen; tasks and
     ports that already exist at attach time are snapshotted immediately.
     """
@@ -136,7 +136,7 @@ class TopologyRecorder:
             self._tasks[task.key] = _TaskObs(task)
         for handle, entry in kernel.ports.items():
             self._ports[handle] = _PortObs(handle, entry.owner, entry.label.to_label())
-        kernel.hooks.append(self)
+        kernel.attach(self)
 
     # -- naming / annotation (for domain-specific sniffers) -----------------
 
@@ -157,7 +157,7 @@ class TopologyRecorder:
         if obs is not None:
             obs.meta.update(meta)
 
-    # -- kernel hooks --------------------------------------------------------
+    # -- kernel events ------------------------------------------------------
 
     def on_spawn(self, process: Any) -> None:
         self._tasks[process.key] = _TaskObs(process)

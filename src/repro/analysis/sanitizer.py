@@ -88,13 +88,27 @@ class DeliverySnapshot:
 class LabelSanitizer:
     """Cross-checks every IPC against the naive Label operators."""
 
-    def __init__(self, kernel: "Kernel", strict: bool = True):
+    def __init__(self, kernel: "Kernel", strict: bool = True, sample: int = 1):
         self.kernel = kernel
         self.strict = strict
+        #: Sampled sanitizing (repro.cluster's per-shard safety net): only
+        #: every Nth send check or delivery is re-derived; N = 1 checks all.
+        #: The sampled subset is a pure function of the IPC sequence.
+        self.sample = sample
+        self._tick = 0
         self.violations: List[Violation] = []
         self.checked_sends = 0
         self.checked_deliveries = 0
         self._seq = 0
+
+    def due(self) -> bool:
+        """True when this opportunity falls on the sample (the kernel asks
+        before each send check and each delivery)."""
+        self._tick += 1
+        if self._tick < self.sample:
+            return False
+        self._tick = 0
+        return True
 
     # -- recording ----------------------------------------------------------------
 

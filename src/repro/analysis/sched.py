@@ -171,7 +171,9 @@ class _Observer:
         if request.port is not None:
             self._touch(("port", request.port))
 
-    def on_deliver(self, task: Task, entry: Port, qmsg: Any, delivered: bool) -> None:
+    def on_deliver(
+        self, task: Task, entry: Port, qmsg: Any, delivered: bool, *_labels_before: Any
+    ) -> None:
         self._touch(("port", entry.handle), ("inbox", self._base_key(task)))
         if delivered and self.monitor is not None:
             payload = qmsg.payload
@@ -247,7 +249,7 @@ class Scenario:
             )
         observer = _Observer(source)
         observer.kernel = kernel
-        kernel.hooks.append(observer)
+        kernel.attach(observer)
         monitor = self.factory(kernel, observer)
         observer.monitor = monitor
         quiescent = True

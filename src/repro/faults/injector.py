@@ -148,10 +148,7 @@ class FaultInjector:
             if self._counters:
                 self._counters[rule.kind].inc()
                 self._counters["injected"].inc()
-            if kernel.spans is not None:
-                kernel.spans.instant(
-                    "fault", target, now, kind=rule.kind, rule=rule.id, **detail
-                )
+            kernel.note_fault(event)
             kernel.debug_log("<faults>", f"{rule.kind}[{rule.id}] -> {target} {detail}")
 
     def fired(self, rule_id: str) -> int:

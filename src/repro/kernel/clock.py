@@ -102,9 +102,6 @@ class CycleClock:
         self.by_category[category] = self.by_category.get(category, 0) + cycles
         self.now += cycles
 
-    def charge_label_work(self, stats: OpStats) -> None:
-        self.charge(KERNEL_IPC, self.cost.label_work(stats))
-
     def snapshot(self) -> Dict[str, int]:
         """A copy of the per-category totals (for measuring intervals)."""
         return dict(self.by_category)

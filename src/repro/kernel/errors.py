@@ -18,7 +18,7 @@ Errors fall into two classes with very different security treatment:
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 
 class KernelError(Exception):
@@ -37,10 +37,6 @@ class ResourceExhausted(KernelError):
     """The simulated machine is out of memory (or another hard resource)."""
 
 
-class ProcessDied(KernelError):
-    """Internal: a process body raised; converted to an exit by the kernel."""
-
-
 class SimulationError(Exception):
     """A bug in simulation harness usage (not a modelled kernel error):
     e.g. yielding a non-syscall object, or calling ep_yield outside an
@@ -56,6 +52,14 @@ DROP_PORT_LABEL = "port-label"            # requirement (4)
 DROP_DEAD_PORT = "dead-port"              # receiver exited / port dissociated
 DROP_QUEUE_LIMIT = "queue-limit"          # resource exhaustion
 DROP_FAULT = "fault-injected"             # repro.faults injected drop
+DROP_REASONS = (
+    DROP_LABEL_CHECK,
+    DROP_DECONT_PRIVILEGE,
+    DROP_PORT_LABEL,
+    DROP_DEAD_PORT,
+    DROP_QUEUE_LIMIT,
+    DROP_FAULT,
+)
 
 
 #: Most recent drop records a :class:`DropLog` keeps for inspection.  The
@@ -83,10 +87,11 @@ class DropLog:
         """The recent records, oldest first (at most :data:`DROP_TAIL`)."""
         return list(self.tail)
 
-    def record(self, reason: str, sender: str, port: str) -> None:
+    def on_drop(self, reason: str, sender: str, where: str, seq: Optional[int]) -> None:
+        """The kernel's drop event (this log is attached to every kernel)."""
         self.total += 1
         self.by_reason[reason] = self.by_reason.get(reason, 0) + 1
-        self.tail.append((reason, sender, port))
+        self.tail.append((reason, sender, where))
 
     def count(self, reason: str = "") -> int:
         if not reason:

@@ -84,6 +84,15 @@ from repro.kernel.scheduler import Scheduler
 _BOTTOM = ChunkedLabel.from_label(Label.bottom())
 _TOP = ChunkedLabel.from_label(Label.top())
 
+#: The events the kernel emits to observers attached with
+#: :meth:`Kernel.attach`; an observer defines ``on_<event>`` for those it
+#: wants.  DESIGN.md §8 lists each event's arguments and emission point.
+EVENTS = (
+    "spawn", "inject", "xshard", "pick", "step", "activate", "activate_end",
+    "send", "enqueue", "recv", "deliver", "drop", "label_work", "new_handle",
+    "new_port", "port_touch", "change_label", "ep_create", "ep_switch", "fault",
+)
+
 
 def _payload_bytes(payload: Any) -> int:
     """Cheap size model for message payloads.
@@ -105,11 +114,7 @@ def _payload_bytes(payload: Any) -> int:
 
 
 def _payload_bytes_general(payload: Any) -> int:
-    if payload is None:
-        return 8
-    if isinstance(payload, (bytes, bytearray)):
-        return len(payload)
-    if isinstance(payload, str):
+    if isinstance(payload, (bytes, bytearray, str)):
         return len(payload)
     if isinstance(payload, (int, float)):
         return 8
@@ -160,15 +165,6 @@ class Kernel:
         #: Covert-channel mitigation hook (Section 8): called before each
         #: spawn; returning False denies process creation.
         self.fork_limiter: Optional[Callable[[Process], bool]] = None
-        #: Passive observers (repro.analysis.extract, repro.analysis.sched):
-        #: objects whose ``on_spawn``/``on_send``/``on_inject``/
-        #: ``on_ep_create``/``on_new_handle``/``on_new_port``/
-        #: ``on_change_label``/``on_step``/``on_recv``/``on_deliver``/
-        #: ``on_port_touch`` methods (all optional) are called at the
-        #: matching kernel events.  The hot paths guard every dispatch
-        #: behind ``if self.hooks:`` so an unobserved kernel pays one
-        #: falsy check.
-        self.hooks: List[Any] = []
         #: Pluggable scheduling nondeterminism (repro.kernel.nondet): when
         #: set, every scheduler pick and every timer-vs-task wake order is
         #: routed through this source's ``choose``, letting the explorer
@@ -184,53 +180,22 @@ class Kernel:
 
         self.vnodes = VnodeTable()
 
-        # -- observability (repro.obs) -------------------------------------
-        # The hot paths guard every metric/span touch behind these two
-        # plain attribute checks, so a kernel with observability disabled
-        # pays (nearly) nothing.
-        from repro.obs.metrics import MetricsRegistry
+        # -- out-of-band observers (attach) ---------------------------------
+        # One list of bound ``on_<event>`` methods per event: an event with
+        # no observer costs its emission site one falsy check.
+        for event in EVENTS:
+            setattr(self, f"_on_{event}", [])
+        self.attach(self.drop_log)
+        from repro.obs.metrics import KernelMetrics, MetricsRegistry
         from repro.obs.spans import SpanRecorder
 
         self.metrics = MetricsRegistry(enabled=config.metrics)
-        self.spans: Optional[SpanRecorder] = (
-            SpanRecorder(limit=config.span_limit) if config.spans else None
-        )
-        if self.spans is None:
-            # Skip the span-wrapping frame entirely on the hottest path:
-            # an instance binding shadows the wrapper method, so a kernel
-            # without span tracing resumes generators with zero extra
-            # frames per activation.
-            self._advance = self._advance_inner  # type: ignore[method-assign]
-        self._obs = config.metrics
-        ipc = self.metrics.scope("kernel.ipc")
-        self._m_sends = ipc.counter("sends")
-        self._m_injected = ipc.counter("injected")
-        self._m_enqueued = ipc.counter("enqueued")
-        self._m_delivered = ipc.counter("delivered")
-        self._m_xshard_out = ipc.counter("xshard_out")
-        self._m_xshard_in = ipc.counter("xshard_in")
-        self._m_drops = {
-            reason: ipc.counter(f"drops.{reason}")
-            for reason in (
-                DROP_LABEL_CHECK,
-                DROP_DECONT_PRIVILEGE,
-                DROP_PORT_LABEL,
-                DROP_DEAD_PORT,
-                DROP_QUEUE_LIMIT,
-                DROP_FAULT,
-            )
-        }
-        labels = self.metrics.scope("kernel.labels")
-        self._m_label_fast = labels.counter("fast_path")
-        self._m_label_full = labels.counter("full_merges")
-        self._m_label_entries = labels.counter("entries_scanned")
-        sched = self.metrics.scope("kernel.sched")
-        self._m_steps = sched.counter("steps")
-        self._m_queue_depth = sched.histogram("queue_depth")
-        procs = self.metrics.scope("kernel.proc")
-        self._m_spawns = procs.counter("spawned")
-        self._m_ep_created = procs.counter("ep_created")
-        self._m_ep_switches = procs.counter("ep_switched")
+        if config.metrics:
+            self.attach(KernelMetrics(self))
+        self.spans: Optional[SpanRecorder] = None
+        if config.spans:
+            self.spans = SpanRecorder(limit=config.span_limit, clock=self.clock)
+            self.attach(self.spans)
 
         # Differential label sanitizer (repro.analysis): opt in per kernel
         # via KernelConfig(sanitize=True), or globally via REPRO_SANITIZE=1
@@ -239,15 +204,9 @@ class Kernel:
         if config.sanitize:
             from repro.analysis.sanitizer import LabelSanitizer
 
-            self.sanitizer = LabelSanitizer(self, strict=config.sanitize_strict)
-        #: Sampled sanitizing (repro.cluster's per-shard safety net): with
-        #: sanitize_sample = N, only every Nth sanitizer opportunity —
-        #: counted across send checks and deliveries — actually runs the
-        #: differential re-derivation.  N = 1 (the default) checks every
-        #: IPC, exactly the pre-sampling behavior.  Deterministic: the
-        #: sampled subset is a pure function of the IPC sequence.
-        self._sanitize_period = config.sanitize_sample
-        self._sanitize_tick = 0
+            self.sanitizer = LabelSanitizer(
+                self, strict=config.sanitize_strict, sample=config.sanitize_sample
+            )
 
         # -- cross-shard routing (repro.cluster) -----------------------------
         #: Handles that live on another shard: handle → RemoteRoute.  Only
@@ -280,11 +239,32 @@ class Kernel:
 
             self.faults = FaultInjector(config.faults, seed=config.fault_seed, kernel=self)
 
-    def _hook(self, method: str, *args: Any) -> None:
-        for observer in self.hooks:
-            fn = getattr(observer, method, None)
+    def attach(self, observer: Any) -> None:
+        """Call *observer*'s ``on_<event>`` methods (any subset of
+        :data:`EVENTS`) at each matching kernel event, after the
+        observers attached before it.  Observers are out-of-band: no
+        simulated program can see them."""
+        unknown = [n for n in dir(observer) if n[:3] == "on_" and n[3:] not in EVENTS]
+        if unknown:
+            raise ValueError(f"{type(observer).__name__} defines unknown events {unknown}")
+        for event in EVENTS:
+            fn = getattr(observer, f"on_{event}", None)
             if fn is not None:
-                fn(*args)
+                getattr(self, f"_on_{event}").append(fn)
+
+    def detach(self, observer: Any) -> None:
+        """Undo :meth:`attach`: *observer* receives no further events."""
+        for event in EVENTS:
+            fn = getattr(observer, f"on_{event}", None)
+            handlers = getattr(self, f"_on_{event}")
+            if fn in handlers:
+                handlers.remove(fn)
+
+    def note_fault(self, event: Any) -> None:
+        """Emit ``on_fault`` for a fired ``repro.faults`` rule."""
+        if self._on_fault:
+            for fn in self._on_fault:
+                fn(event)
 
     # -- bootstrapping -----------------------------------------------------------
 
@@ -304,9 +284,8 @@ class Kernel:
         (privilege distribution by forking, Section 5.3); otherwise it gets
         the defaults ``PS = {1}``, ``PR = {2}``.
         """
-        if self.fork_limiter is not None and parent is not None:
-            if not self.fork_limiter(parent):  # type: ignore[arg-type]
-                raise ResourceExhausted("process creation rate limited")
+        if self.fork_limiter is not None and parent is not None and not self.fork_limiter(parent):
+            raise ResourceExhausted("process creation rate limited")
         if self.faults is not None and self.faults.on_spawn(name, self._steps):
             raise ResourceExhausted(f"spawn of {name!r} failed (fault injection)")
         self._pid += 1
@@ -333,20 +312,18 @@ class Kernel:
         self.processes[process.key] = process
         self.clock.charge(OTHER, self.clock.cost.spawn)
         self.scheduler.enqueue(process.key)
-        if self._obs:
-            self._m_spawns.inc()
-        if self.hooks:
-            self._hook("on_spawn", process)
+        if self._on_spawn:
+            for fn in self._on_spawn:
+                fn(process)
         return process
 
     def inject(self, port: Handle, payload: Any) -> bool:
         """Enqueue a message from *outside* the label system — the network
         wire.  Labels are the defaults of a maximally untainted sender, so
         the receiver is not contaminated and ordinary receive checks apply."""
-        if self._obs:
-            self._m_injected.inc()
-        if self.hooks:
-            self._hook("on_inject", port, payload)
+        if self._on_inject:
+            for fn in self._on_inject:
+                fn(port, payload)
         return self._enqueue(
             port=port,
             payload=payload,
@@ -378,8 +355,9 @@ class Kernel:
         :meth:`inject`, the caller supplies real labels — cross-shard
         taint and decontamination propagate.
         """
-        if self._obs:
-            self._m_xshard_in.inc()
+        if self._on_xshard:
+            for fn in self._on_xshard:
+                fn("in", port)
         return self._enqueue(
             port=port,
             payload=payload,
@@ -411,13 +389,11 @@ class Kernel:
                 # iteration (the timer stays due and is re-offered), so
                 # the explorer can race timeouts against queued messages.
                 if (
-                    self.nondet is not None
-                    and self.scheduler
-                    and self._timers[0][0] <= self.clock.now
-                    and self.nondet.choose("wake", ("timers", "task")) == 1
+                    self.nondet is None
+                    or not self.scheduler
+                    or self._timers[0][0] > self.clock.now
+                    or self.nondet.choose("wake", ("timers", "task")) != 1
                 ):
-                    pass
-                else:
                     self._fire_due_timers()
             if not self.scheduler:
                 if not self._advance_idle():
@@ -480,7 +456,7 @@ class Kernel:
             _, _, kwargs = heapq.heappop(self._delayed)
             self._enqueue(fault_exempt=True, **kwargs)
 
-    def _defer_enqueue(self, rounds: int, kwargs: Dict[str, Any]) -> None:
+    def _defer_enqueue(self, rounds: int, **kwargs: Any) -> None:
         self._delay_serial += 1
         heapq.heappush(self._delayed, (self._steps + rounds, self._delay_serial, kwargs))
 
@@ -498,9 +474,9 @@ class Kernel:
         if task is None or task.state == TaskState.EXITED:
             return
         self._steps += 1
-        if self._obs:
-            self._m_steps.inc()
-            self._m_queue_depth.observe(len(self.scheduler))
+        if self._on_pick:
+            for fn in self._on_pick:
+                fn(task)
         if self.faults is not None:
             self.faults.on_step(self, self._steps)
             if self._delayed:
@@ -511,8 +487,9 @@ class Kernel:
             if self.faults.on_pick(task.name, self._steps):
                 self.scheduler.enqueue(key)  # stalled: loses this turn only
                 return
-        if self.hooks:
-            self._hook("on_step", task)
+        if self._on_step:
+            for fn in self._on_step:
+                fn(task)
         if isinstance(task, Process) and task.state == TaskState.EP_REALM:
             self._step_ep_realm(task)
             return
@@ -532,53 +509,50 @@ class Kernel:
     def _advance(self, task: Task) -> None:
         """Resume *task*'s generator until it blocks, exits, or exhausts
         its inline budget (then it re-queues, preempted)."""
-        if self.spans is not None:
-            self.spans.begin("activate", task.name, self.clock.now)
-            try:
-                self._advance_inner(task)
-            finally:
-                self.spans.end("activate", task.name, self.clock.now)
-            return
-        self._advance_inner(task)
-
-    def _advance_inner(self, task: Task) -> None:
+        if self._on_activate:
+            for fn in self._on_activate:
+                fn(task)
         budget = self.INLINE_SYSCALL_BUDGET
-        while True:
-            budget -= 1
-            if budget < 0:
-                self.scheduler.enqueue(
-                    task.base.key if isinstance(task, EventProcess) else task.key
-                )
-                return
-            try:
-                if task.pending_exc is not None:
-                    exc = task.pending_exc
-                    task.pending_exc = None
-                    request = task.gen.throw(exc)
-                else:
-                    value, task.pending = task.pending, None
-                    request = task.gen.send(value)
-            except StopIteration:
-                self._task_finished(task)
-                return
-            except Exception as exc:  # program crashed
-                self.debug_log(task.name, f"crashed: {exc!r}")
-                if self.trace:
-                    raise
-                self._task_finished(task, crashed=True)
-                return
-            if self.faults is not None and self.faults.on_syscall(
-                task.key, task.name, self._steps
-            ):
-                # Injected crash: the program dies mid-syscall, exactly as
-                # if its body had raised.
-                self.debug_log(task.name, "crashed: fault injection")
-                self._task_finished(task, crashed=True)
-                return
-            self.clock.charge(OTHER, self.clock.cost.syscall_base)
-            again = self._dispatch(task, request)
-            if not again:
-                return
+        try:
+            while True:
+                budget -= 1
+                if budget < 0:
+                    self.scheduler.enqueue(
+                        task.base.key if isinstance(task, EventProcess) else task.key
+                    )
+                    return
+                try:
+                    if task.pending_exc is not None:
+                        exc = task.pending_exc
+                        task.pending_exc = None
+                        request = task.gen.throw(exc)
+                    else:
+                        value, task.pending = task.pending, None
+                        request = task.gen.send(value)
+                except StopIteration:
+                    self._task_finished(task)
+                    return
+                except Exception as exc:  # program crashed
+                    self.debug_log(task.name, f"crashed: {exc!r}")
+                    if self.trace:
+                        raise
+                    self._task_finished(task, crashed=True)
+                    return
+                if self.faults is not None and self.faults.on_syscall(
+                    task.key, task.name, self._steps
+                ):
+                    # Injected crash: the program dies mid-syscall, exactly as
+                    # if its body had raised.
+                    self.debug_log(task.name, "crashed: fault injection")
+                    self._task_finished(task, crashed=True)
+                    return
+                self.clock.charge(OTHER, self.clock.cost.syscall_base)
+                if not self._dispatch(task, request):
+                    return
+        finally:
+            if self._on_activate_end:
+                for fn in self._on_activate_end:
+                    fn(task)
 
     def _dispatch(self, task: Task, request: sc.Syscall) -> bool:
         """Execute one syscall.  Returns True to keep advancing the same
@@ -602,8 +576,9 @@ class Kernel:
             if isinstance(request, sc.DissociatePort):
                 if request.port not in task.owned_ports:
                     raise NotOwner(f"dissociate: port {request.port:#x} not owned")
-                if self.hooks:
-                    self._hook("on_port_touch", task, request.port)
+                if self._on_port_touch:
+                    for fn in self._on_port_touch:
+                        fn(task, request.port)
                 self._dissociate_port(request.port)
                 task.pending = True
                 return True
@@ -681,40 +656,17 @@ class Kernel:
     # -- send ------------------------------------------------------------------------------
 
     def _drop(self, reason: str, sender: str, where: str, seq: Optional[int] = None) -> None:
-        """Record a silent message drop: the out-of-band log, the metrics
-        counter, and the end of the message's span (if it had one)."""
-        self.drop_log.record(reason, sender, where)
-        if self._obs:
-            self._m_drops[reason].inc()
-        if self.spans is not None:
-            if seq is not None:
-                self.spans.async_end(
-                    "msg", seq, self.clock.now, delivered=False, reason=reason
-                )
-            else:
-                self.spans.instant("drop", sender, self.clock.now, reason=reason)
-
-    def _sanitize_due(self) -> bool:
-        """True when this sanitizer opportunity falls on the sample.
-
-        Only consulted when a sanitizer exists; with ``sanitize_sample=1``
-        every opportunity is due (the pre-sampling behavior).
-        """
-        if self._sanitize_period == 1:
-            return True
-        self._sanitize_tick += 1
-        if self._sanitize_tick >= self._sanitize_period:
-            self._sanitize_tick = 0
-            return True
-        return False
+        """Emit a silent message drop (*seq* is set once the message was
+        queued).  The drop log is always attached, so this never skips."""
+        for fn in self._on_drop:
+            fn(reason, sender, where, seq)
 
     def _sys_send(self, task: Task, request: sc.Send) -> bool:
         cost = self.clock.cost
         self.clock.charge(KERNEL_IPC, cost.send_base)
-        if self._obs:
-            self._m_sends.inc()
-        if self.hooks:
-            self._hook("on_send", task, request)
+        if self._on_send:
+            for fn in self._on_send:
+                fn(task, request)
         stats = OpStats()
         ps = task.send_label
         cs = self._user_label(request.cs, _BOTTOM)
@@ -729,7 +681,7 @@ class Kernel:
         if self.label_cost_mode == "paper":
             modeled = labelops.paper_cost_raise_receive(ps, cs) + len(ds) + len(dr)
         es = labelops.raise_receive(ps, cs, stats)
-        if self.sanitizer is not None and self._sanitize_due():
+        if self.sanitizer is not None and self.sanitizer.due():
             self.sanitizer.check_effective_send(task.name, request.port, ps, cs, es)
 
         ok = True
@@ -804,16 +756,14 @@ class Kernel:
                     return True
                 self._defer_enqueue(
                     rounds,
-                    dict(
-                        port=port,
-                        payload=payload,
-                        effective_send=effective_send,
-                        ds=ds,
-                        v=v,
-                        dr=dr,
-                        sender_name=sender_name,
-                        transfer=transfer,
-                    ),
+                    port=port,
+                    payload=payload,
+                    effective_send=effective_send,
+                    ds=ds,
+                    v=v,
+                    dr=dr,
+                    sender_name=sender_name,
+                    transfer=transfer,
                 )
                 return True
         entry = self.ports.get(port)
@@ -845,8 +795,9 @@ class Kernel:
                             sender_name=sender_name,
                         ),
                     )
-                    if self._obs:
-                        self._m_xshard_out.inc()
+                    if self._on_xshard:
+                        for fn in self._on_xshard:
+                            fn("out", port)
                     return True
             self._drop(DROP_DEAD_PORT, sender_name, f"{port:#x}")
             self._kill_transferred(transfer)
@@ -877,16 +828,9 @@ class Kernel:
             self._drop(DROP_QUEUE_LIMIT, sender_name, f"{port:#x}")
             self._kill_transferred(transfer)
             return True
-        if self._obs:
-            self._m_enqueued.inc()
-        if self.spans is not None:
-            self.spans.async_begin(
-                "msg",
-                qmsg.seq,
-                self.clock.now,
-                sender=sender_name,
-                port=f"{port:#x}",
-            )
+        if self._on_enqueue:
+            for fn in self._on_enqueue:
+                fn(qmsg)
         owner = self.tasks.get(entry.owner)
         if owner is not None:
             owner.ready_ports.add(port)
@@ -920,9 +864,7 @@ class Kernel:
             if base.state == TaskState.EP_REALM:
                 self.scheduler.enqueue(base.key)
             return
-        if task.state in (TaskState.BLOCKED, TaskState.RUNNABLE):
-            self.scheduler.enqueue(task.key)
-        elif task.state == TaskState.EP_REALM:
+        if task.state in (TaskState.BLOCKED, TaskState.RUNNABLE, TaskState.EP_REALM):
             self.scheduler.enqueue(task.key)
 
     # -- delivery (Figure 4 requirements 1 & 4, then the effects) ---------------------------
@@ -930,14 +872,17 @@ class Kernel:
     def _try_deliver(self, task: Task, entry: Port, qmsg: QueuedMessage) -> bool:
         """Run the delivery-time checks against *task*; apply effects and
         return True, or record the drop and return False."""
-        if self.sanitizer is None or not self._sanitize_due():
+        # Labels are immutable: observers get the pre-delivery objects.
+        send_before, receive_before = task.send_label, task.receive_label
+        if self.sanitizer is None or not self.sanitizer.due():
             delivered = self._deliver(task, entry, qmsg)
         else:
             snapshot = self.sanitizer.before_deliver(task, entry, qmsg)
             delivered = self._deliver(task, entry, qmsg)
             self.sanitizer.after_deliver(task, entry, qmsg, delivered, snapshot)
-        if self.hooks:
-            self._hook("on_deliver", task, entry, qmsg, delivered)
+        if self._on_deliver:
+            for fn in self._on_deliver:
+                fn(task, entry, qmsg, delivered, send_before, receive_before)
         return delivered
 
     def _deliver(self, task: Task, entry: Port, qmsg: QueuedMessage) -> bool:
@@ -1003,12 +948,6 @@ class Kernel:
                 if vnode is not None:
                     vnode.owner = task.key
         self._charge_label_work(stats, modeled)
-        if self._obs:
-            self._m_delivered.inc()
-        if self.spans is not None:
-            self.spans.async_end(
-                "msg", qmsg.seq, self.clock.now, delivered=True, receiver=task.name
-            )
         return True
 
     def _charge_label_work(self, stats: OpStats, modeled_entries: int = 0) -> None:
@@ -1034,10 +973,9 @@ class Kernel:
             cycles += cost.label_entry * stats.entries_scanned
         self.clock.charge(KERNEL_IPC, cycles)
         self.label_stats.merge(stats)
-        if self._obs:
-            self._m_label_fast.inc(stats.fast_path)
-            self._m_label_full.inc(stats.full_merges)
-            self._m_label_entries.inc(stats.entries_scanned)
+        if self._on_label_work:
+            for fn in self._on_label_work:
+                fn(stats)
 
     # -- recv --------------------------------------------------------------------------------
 
@@ -1045,9 +983,7 @@ class Kernel:
         if request.port is not None and request.port not in task.owned_ports:
             task.pending_exc = NotOwner(f"recv on port {request.port:#x} not owned")
             return True
-        if self.hooks:
-            self._hook("on_recv", task, request)
-        delivered = self._pick_and_deliver(task, request.port)
+        delivered = self._pick_and_deliver(task, request)
         if delivered is not None:
             task.pending = delivered
             return True
@@ -1068,9 +1004,7 @@ class Kernel:
             return True
         if isinstance(request, sc.Deadline):
             return False  # only the timer wakes a sleeper
-        if self.hooks:
-            self._hook("on_recv", task, request)
-        delivered = self._pick_and_deliver(task, request.port)
+        delivered = self._pick_and_deliver(task, request)
         if delivered is None:
             return False
         task.pending = delivered
@@ -1078,13 +1012,18 @@ class Kernel:
         task.blocked_on = None
         return True
 
-    def _pick_and_deliver(self, task: Task, port: Optional[Handle]) -> Optional[Message]:
-        """Deliver the oldest deliverable message on *port* (or any owned
-        port).  Messages failing their check are dropped permanently.
+    def _pick_and_deliver(self, task: Task, request: sc.Recv) -> Optional[Message]:
+        """Deliver the oldest deliverable message on the *request*'s port
+        (or any owned port).  Messages failing their check are dropped
+        permanently.
 
         Only ports with queued traffic (the kernel-maintained ready set)
         are examined, so a server owning thousands of idle connection
         ports pays nothing for them here."""
+        if self._on_recv:
+            for fn in self._on_recv:
+                fn(task, request)
+        port = request.port
         while True:
             best: Optional[Tuple[int, Port]] = None
             stale: List[Handle] = []
@@ -1118,8 +1057,9 @@ class Kernel:
         stats = OpStats()
         task.send_label = labelops.sparse_update(task.send_label, {handle: STAR}, stats)
         self._charge_label_work(stats)
-        if self.hooks:
-            self._hook("on_new_handle", task, handle)
+        if self._on_new_handle:
+            for fn in self._on_new_handle:
+                fn(task, handle)
         return handle
 
     def _sys_new_port(self, task: Task, label: Optional[Label]) -> Handle:
@@ -1135,8 +1075,9 @@ class Kernel:
         # PS(p) ← ⋆.
         task.send_label = labelops.sparse_update(task.send_label, {handle: STAR}, stats)
         self._charge_label_work(stats)
-        if self.hooks:
-            self._hook("on_new_port", task, handle)
+        if self._on_new_port:
+            for fn in self._on_new_port:
+                fn(task, handle)
         return handle
 
     def _sys_set_port_label(self, task: Task, request: sc.SetPortLabel) -> bool:
@@ -1145,8 +1086,9 @@ class Kernel:
             raise NotOwner(f"set_port_label: port {request.port:#x} not owned")
         # Unlike new_port, the input is used verbatim (Section 5.5).
         entry.label = ChunkedLabel.from_label(request.label)
-        if self.hooks:
-            self._hook("on_port_touch", task, request.port)
+        if self._on_port_touch:
+            for fn in self._on_port_touch:
+                fn(task, request.port)
         return True
 
     def _sys_change_label(self, task: Task, request: sc.ChangeLabel) -> bool:
@@ -1213,8 +1155,9 @@ class Kernel:
                 )
             task.receive_label = new
         self._charge_label_work(stats)
-        if self.hooks:
-            self._hook("on_change_label", task, request)
+        if self._on_change_label:
+            for fn in self._on_change_label:
+                fn(task, request)
         return True
 
     def _user_label(self, label: Optional[Label], default: ChunkedLabel) -> ChunkedLabel:
@@ -1333,8 +1276,9 @@ class Kernel:
                 continue  # dropped; try the next head
             if self._try_deliver(ep, entry, qmsg):
                 self.clock.charge(OTHER, self.clock.cost.ep_switch)
-                if self._obs:
-                    self._m_ep_switches.inc()
+                if self._on_ep_switch:
+                    for fn in self._on_ep_switch:
+                        fn(ep)
                 self._touch_stack(ep)
                 # A cleaned EP dropped its message-queue page; receiving a
                 # message brings it back.
@@ -1360,8 +1304,6 @@ class Kernel:
         if not self._try_deliver(ep, entry, qmsg):
             return False  # never existed
         self.clock.charge(OTHER, self.clock.cost.ep_create)
-        if self._obs:
-            self._m_ep_created.inc()
         self.tasks[ep.key] = ep
         process.event_processes[ep.key] = ep
         process.active_ep = ep.key
@@ -1377,8 +1319,9 @@ class Kernel:
             )
         # Observers see the EP after its first delivery, so its labels
         # already include the activating message's contamination.
-        if self.hooks:
-            self._hook("on_ep_create", ep, entry, qmsg)
+        if self._on_ep_create:
+            for fn in self._on_ep_create:
+                fn(ep, entry, qmsg)
         self._advance(ep)
         return True
 
@@ -1412,10 +1355,6 @@ class Kernel:
         entry = self.ports.get(handle)
         if entry is None:
             return
-        # A covered port dying needs no proof invalidation: handle values
-        # never repeat within a boot (the allocator is a cipher over a
-        # monotonic counter), so no future delivery can ever probe this
-        # port's stubs again — the dead edge simply stops being exercised.
         entry.dissociate()
         vnode = self.vnodes.get(handle)
         if vnode is not None:
@@ -1463,8 +1402,7 @@ class Kernel:
 
     def debug_log(self, who: str, message: str) -> None:
         if self.trace:
-            line = f"[{self.clock.now:>12}] {who}: {message}"
-            self.debug_lines.append(line)
+            self.debug_lines.append(f"[{self.clock.now:>12}] {who}: {message}")
             if len(self.debug_lines) > 10_000:
                 del self.debug_lines[:5_000]
 

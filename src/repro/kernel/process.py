@@ -76,7 +76,7 @@ class Context:
         Out-of-band like :meth:`log` — nothing a simulated program can
         read back, so it cannot become a label-bypassing channel.
         """
-        if self._kernel._obs:
+        if self._kernel.metrics.enabled:
             self._kernel.metrics.counter(
                 f"app.{self._task.component}.{name}"
             ).inc(n)

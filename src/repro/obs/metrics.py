@@ -5,9 +5,9 @@ Design constraints, in order:
 
 1. **Near-zero overhead when disabled.**  A disabled registry hands out a
    single shared :data:`NULL` instrument whose mutators are no-ops, and
-   the kernel additionally guards its hot-path increments behind one
-   boolean attribute check, so a kernel with ``metrics=False`` pays
-   nothing measurable (the Figure 7 acceptance bound is < 3%).
+   the kernel's own instruments live in :class:`KernelMetrics`, an
+   observer the kernel attaches only when ``metrics=True``, so a kernel
+   with metrics off pays one falsy check per event.
 2. **Out-of-band.**  Like the drop log, nothing inside the simulation can
    observe a metric — programs have no syscall for it.  Metrics are for
    the harness, the bench runner and the tests.
@@ -23,12 +23,15 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Union
 
+from repro.kernel.errors import DROP_REASONS
+
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
     "MetricsScope",
+    "KernelMetrics",
     "NullInstrument",
     "NULL",
     "kernel_snapshot",
@@ -209,6 +212,66 @@ class MetricsScope:
 
     def scope(self, prefix: str) -> "MetricsScope":
         return MetricsScope(self._registry, f"{self.prefix}.{prefix}")
+
+
+class KernelMetrics:
+    """The kernel's ``kernel.*`` instruments: the observer a kernel attaches
+    when ``KernelConfig(metrics=True)`` (DESIGN.md §8.1 lists each one)."""
+
+    def __init__(self, kernel) -> None:
+        self._scheduler = kernel.scheduler
+        counter = kernel.metrics.counter
+        self._sends = counter("kernel.ipc.sends")
+        self._injected = counter("kernel.ipc.injected")
+        self._enqueued = counter("kernel.ipc.enqueued")
+        self._delivered = counter("kernel.ipc.delivered")
+        self._xshard = {way: counter(f"kernel.ipc.xshard_{way}") for way in ("out", "in")}
+        self._drops = {reason: counter(f"kernel.ipc.drops.{reason}") for reason in DROP_REASONS}
+        self._label_fast = counter("kernel.labels.fast_path")
+        self._label_full = counter("kernel.labels.full_merges")
+        self._label_entries = counter("kernel.labels.entries_scanned")
+        self._steps = counter("kernel.sched.steps")
+        self._queue_depth = kernel.metrics.histogram("kernel.sched.queue_depth")
+        self._spawns = counter("kernel.proc.spawned")
+        self._ep_created = counter("kernel.proc.ep_created")
+        self._ep_switches = counter("kernel.proc.ep_switched")
+
+    def on_spawn(self, process) -> None:
+        self._spawns.inc()
+
+    def on_inject(self, port, payload) -> None:
+        self._injected.inc()
+
+    def on_xshard(self, direction: str, port) -> None:
+        self._xshard[direction].inc()
+
+    def on_pick(self, task) -> None:
+        self._steps.inc()
+        self._queue_depth.observe(len(self._scheduler))
+
+    def on_send(self, task, request) -> None:
+        self._sends.inc()
+
+    def on_enqueue(self, qmsg) -> None:
+        self._enqueued.inc()
+
+    def on_deliver(self, task, entry, qmsg, delivered: bool, *_labels_before) -> None:
+        if delivered:
+            self._delivered.inc()
+
+    def on_drop(self, reason: str, sender: str, where: str, seq) -> None:
+        self._drops[reason].inc()
+
+    def on_label_work(self, stats) -> None:
+        self._label_fast.inc(stats.fast_path)
+        self._label_full.inc(stats.full_merges)
+        self._label_entries.inc(stats.entries_scanned)
+
+    def on_ep_create(self, ep, entry, qmsg) -> None:
+        self._ep_created.inc()
+
+    def on_ep_switch(self, ep) -> None:
+        self._ep_switches.inc()
 
 
 def kernel_snapshot(kernel) -> Dict[str, Any]:

@@ -12,6 +12,8 @@ paper's 2.8 GHz):
   lifetimes overlap arbitrarily — enqueue order is not delivery order —
   which is exactly what Chrome's async events model.
 
+Attached to a kernel (``KernelConfig(spans=True)``), the recorder is an
+observer on its event bus and stamps each event with the kernel clock.
 Export is the Chrome ``trace_event`` JSON array format: load the file in
 ``chrome://tracing`` / Perfetto, or feed it to any trace_event consumer.
 Like the drop log and the metrics registry this is out-of-band: nothing
@@ -39,8 +41,10 @@ class SpanRecorder:
     virtual cycle count — so recordings are exactly reproducible.
     """
 
-    def __init__(self, limit: int = 250_000):
+    def __init__(self, limit: int = 250_000, clock: Any = None):
         self.limit = limit
+        #: The kernel's CycleClock when attached as a kernel observer.
+        self.clock = clock
         self.events: List[Dict[str, Any]] = []
         self.dropped = 0
         self._tids: Dict[str, int] = {}
@@ -134,6 +138,32 @@ class SpanRecorder:
                 "args": args,
             }
         )
+
+    # -- kernel events -------------------------------------------------------------
+
+    def on_activate(self, task: Any) -> None:
+        self.begin("activate", task.name, self.clock.now)
+
+    def on_activate_end(self, task: Any) -> None:
+        self.end("activate", task.name, self.clock.now)
+
+    def on_enqueue(self, qmsg: Any) -> None:
+        port = f"{qmsg.port:#x}"
+        self.async_begin("msg", qmsg.seq, self.clock.now, sender=qmsg.sender_name, port=port)
+
+    def on_deliver(self, task: Any, entry: Any, qmsg: Any, delivered: bool, *_: Any) -> None:
+        if delivered:
+            self.async_end("msg", qmsg.seq, self.clock.now, delivered=True, receiver=task.name)
+
+    def on_drop(self, reason: str, sender: str, where: str, seq: Optional[int]) -> None:
+        if seq is not None:
+            self.async_end("msg", seq, self.clock.now, delivered=False, reason=reason)
+        else:
+            self.instant("drop", sender, self.clock.now, reason=reason)
+
+    def on_fault(self, event: Any) -> None:
+        kind, rule = event.kind, event.rule
+        self.instant("fault", event.target, event.now, kind=kind, rule=rule, **event.detail)
 
     # -- export ------------------------------------------------------------------
 

@@ -160,7 +160,7 @@ def record_okws_topology(
 
     kernel = kernel if kernel is not None else Kernel()
     recorder = TopologyRecorder(kernel)
-    kernel.hooks.append(OkwsNamer(recorder))
+    kernel.attach(OkwsNamer(recorder))
 
     services = [
         ServiceConfig("cache", session_cache_handler),

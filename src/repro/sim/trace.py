@@ -1,11 +1,12 @@
 """Label-flow tracing: a developer tool for watching the kernel's
 decisions.
 
-Attach a :class:`FlowTracer` to a kernel and every delivery attempt is
-recorded — sender, receiver, the verdict, and how the receiver's labels
-changed — with symbolic handle names you register as compartments come
-into being.  ``tracer.format()`` renders a readable transcript; tests can
-assert on the structured :class:`FlowEvent` records.
+Attach a :class:`FlowTracer` to a kernel (it observes the kernel's
+``on_deliver`` event) and every delivery attempt is recorded — sender,
+receiver, the verdict, and how the receiver's labels changed — with
+symbolic handle names you register as compartments come into being.
+``tracer.format()`` renders a readable transcript; tests can assert on
+the structured :class:`FlowEvent` records.
 
 This is out-of-band diagnostics in the same sense as the kernel's drop
 log: nothing inside the simulation can observe it.
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.analysis.sanitizer import Violation
+from repro.analysis.sanitizer import EFFECTIVE_SEND_MISMATCH, Violation
 from repro.core.handles import Handle
 from repro.core.labels import Label
 from repro.kernel.kernel import Kernel
@@ -50,52 +51,52 @@ class FlowEvent:
 
 
 class FlowTracer:
-    """Wraps a kernel's delivery path and records every attempt."""
+    """Records every delivery attempt: an ``on_deliver`` kernel observer."""
 
     def __init__(self, kernel: Kernel):
         self.kernel = kernel
         self.events: List[FlowEvent] = []
         self.names: Dict[Handle, str] = {}
-        self._seq = 0
-        self._original = kernel._try_deliver
-        kernel._try_deliver = self._traced_deliver  # type: ignore[method-assign]
+        sanitizer = kernel.sanitizer
+        self._violations_seen = len(sanitizer.violations) if sanitizer else 0
+        kernel.attach(self)
 
     def detach(self) -> None:
-        self.kernel._try_deliver = self._original  # type: ignore[method-assign]
+        self.kernel.detach(self)
 
     def name_handle(self, handle: Handle, name: str) -> None:
         """Register a symbolic name for a handle (e.g. ``uT``)."""
         self.names[handle] = name
 
-    # -- the wrapper ---------------------------------------------------------------
+    # -- the kernel event ------------------------------------------------------------
 
-    def _traced_deliver(self, task, entry, qmsg):
-        send_before = task.send_label.to_label()
-        receive_before = task.receive_label.to_label()
-        sanitizer = self.kernel.sanitizer
-        violations_before = len(sanitizer.violations) if sanitizer else 0
-        delivered = self._original(task, entry, qmsg)
-        self._seq += 1
-        new_violations = (
-            list(sanitizer.violations[violations_before:]) if sanitizer else []
-        )
+    def on_deliver(self, task, entry, qmsg, delivered, send_before, receive_before) -> None:
         self.events.append(
             FlowEvent(
-                seq=self._seq,
+                seq=len(self.events) + 1,
                 sender=qmsg.sender_name,
                 receiver=task.name,
                 port=entry.handle,
                 delivered=delivered,
                 effective_send=qmsg.effective_send.to_label(),
                 verify=qmsg.verify.to_label(),
-                send_before=send_before,
+                send_before=send_before.to_label(),
                 send_after=task.send_label.to_label() if delivered else None,
-                receive_before=receive_before,
+                receive_before=receive_before.to_label(),
                 receive_after=task.receive_label.to_label() if delivered else None,
-                violations=new_violations,
+                violations=self._delivery_violations(),
             )
         )
-        return delivered
+
+    def _delivery_violations(self) -> List[Violation]:
+        """The sanitizer violations this delivery raised: all recorded since
+        the previous delivery except send-time ``ES = PS ⊔ CS`` checks."""
+        sanitizer = self.kernel.sanitizer
+        if sanitizer is None:
+            return []
+        new = sanitizer.violations[self._violations_seen :]
+        self._violations_seen = len(sanitizer.violations)
+        return [v for v in new if v.kind != EFFECTIVE_SEND_MISMATCH]
 
     # -- queries -----------------------------------------------------------------------
 
@@ -122,7 +123,7 @@ class FlowTracer:
 
         Requires a kernel constructed with ``KernelConfig(spans=True)``.
         """
-        spans = getattr(self.kernel, "spans", None)
+        spans = self.kernel.spans
         if spans is None:
             raise ValueError(
                 "kernel records no spans; construct it with "

@@ -172,3 +172,19 @@ def test_guard_flags_missing_series_and_grid_changes(tmp_path):
     fresh = dict(base, c={"x": [1], "y": [1.0], "unit": "x"})
     problems = _guard_pair(tmp_path, "BENCH_fig7.json", base, fresh)
     assert problems == ["BENCH_fig7.json: fresh series 'c' missing from baseline"]
+
+
+def test_quick_fig7_document_is_byte_identical_across_runs():
+    """A committed bench document holds only simulated figures, so two
+    builds serialize byte-identically (host time lives in perfbench).
+    Both quick builds share one session sweep, as ``run_bench`` shares
+    its sweep; two points keep the test to a couple of seconds."""
+    from repro.sim.runner import run_session_sweep
+
+    grid = [1, 20]
+    sweep = (grid, run_session_sweep(grid))
+    first, second = (
+        json.dumps(bench.run_fig7(True, sweep=sweep), indent=2, sort_keys=True)
+        for _ in range(2)
+    )
+    assert first == second

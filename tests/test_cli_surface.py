@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -115,3 +116,15 @@ def test_chaos_seed_feeds_the_single_campaign(monkeypatch):
         == 0
     )
     assert seen["seed"] == 99
+
+
+def test_run_sanitize_trace_prints_the_transcript(monkeypatch, capsys):
+    # ``run --sanitize`` exports REPRO_SANITIZE*; monkeypatch restores them.
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    monkeypatch.delenv("REPRO_SANITIZE_STRICT", raising=False)
+    assert main(["run", "--sanitize", "--trace", "--trace-last", "3"]) == 0
+    out = capsys.readouterr().out
+    transcript = [line for line in out.splitlines() if re.match(r"\[ *\d+\]  (->|XX) ", line)]
+    assert len(transcript) == 3
+    assert "alice sees ['alice note']; bob sees ['bob note']" in out
+    assert out.rstrip().endswith("deliveries cross-checked, 0 violations")

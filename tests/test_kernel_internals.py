@@ -3,8 +3,11 @@ and the resource accounting the evaluation depends on."""
 
 import pytest
 
+from repro.analysis.sanitizer import EFFECTIVE_SEND_MISMATCH, RECEIVE_EFFECT_MISMATCH
+from repro.core import labelops
 from repro.core.chunks import ChunkedLabel
 from repro.core.labels import Label
+from repro.core.levels import L2, L3, STAR
 from repro.kernel import (
     EpCheckpoint,
     EpYield,
@@ -13,13 +16,16 @@ from repro.kernel import (
     NewHandle,
     NewPort,
     Recv,
+    Send,
     SetPortLabel,
 )
 from repro.kernel.clock import CostModel, CycleClock, KERNEL_IPC, NETWORK
+from repro.kernel.kernel import EVENTS
 from repro.kernel.message import QueuedMessage
 from repro.kernel.ports import Port
 from repro.kernel.scheduler import Scheduler
 from repro.kernel.vnodes import VNODE_BYTES, VnodeTable
+from repro.sim.trace import FlowTracer
 
 
 # -- scheduler ------------------------------------------------------------------
@@ -215,3 +221,109 @@ def test_handle_space_is_shared_and_unique(kernel):
     kernel.spawn(b, "b")
     kernel.run()
     assert len(set(handles)) == 100  # ports and handles share one namespace
+
+
+# -- the observer bus -------------------------------------------------------------
+
+
+class _EveryEvent:
+    """An observer of every kernel event; records (event, args)."""
+
+    def __init__(self):
+        self.calls = []
+        for event in EVENTS:
+            setattr(self, f"on_{event}", lambda *args, e=event: self.calls.append((e, args)))
+
+
+def _traffic(kernel, sends):
+    """A listener on an open port, then one sender running *sends*."""
+    box = {}
+
+    def listener(ctx):
+        port = yield NewPort()
+        yield SetPortLabel(port, Label.top())
+        box["port"] = port
+        while True:
+            yield Recv(port=port)
+
+    kernel.spawn(listener, "listener")
+    kernel.run()
+
+    def sender(ctx):
+        yield from sends(box["port"])
+
+    kernel.spawn(sender, "sender")
+    kernel.run()
+
+
+def test_attached_then_detached_observer_receives_nothing():
+    attached, detached = _EveryEvent(), _EveryEvent()
+    kernel = Kernel(config=KernelConfig())
+    kernel.attach(attached)
+    kernel.attach(detached)
+    kernel.detach(detached)
+
+    def sends(port):
+        yield Send(port, "hi")
+        yield Send(0xDEAD, "nobody home")
+
+    _traffic(kernel, sends)
+    assert detached.calls == []
+    seen = {event for event, _ in attached.calls}
+    assert {"spawn", "pick", "step", "activate", "activate_end", "send", "enqueue"} <= seen
+    assert {"recv", "deliver", "drop", "label_work", "new_port", "port_touch"} <= seen
+
+
+def test_attach_rejects_an_unknown_event():
+    class Typo:
+        def on_delivr(self, *args):
+            pass
+
+    with pytest.raises(ValueError, match="on_delivr"):
+        Kernel(config=KernelConfig()).attach(Typo())
+
+
+def test_drop_only_observer_sees_exactly_the_drop_log():
+    class Drops:
+        def __init__(self):
+            self.records = []
+
+        def on_drop(self, reason, sender, where, seq):
+            self.records.append((reason, sender, where))
+
+    kernel = Kernel(config=KernelConfig())
+    drops = Drops()
+    kernel.attach(drops)
+
+    def sends(port):
+        h = yield NewHandle()
+        yield Send(port, "delivered")
+        yield Send(port, "too hot", contaminate=Label({h: L3}, STAR))   # label-check
+        yield Send(0xDEAD, "dead port")                                 # dead-port
+        yield Send(port, "no privilege", decontaminate_send=Label({0xBEEF: 0}, 3))
+
+    _traffic(kernel, sends)
+    assert drops.records == kernel.drop_log.records
+    assert len(drops.records) == kernel.drop_log.total == 3
+    assert {r for r, _, _ in drops.records} == {"label-check", "dead-port", "decont-privilege"}
+
+
+def test_flow_event_excludes_send_time_violations(monkeypatch):
+    # QR ← QR ⊔ DR (and ES = PS ⊔ CS, the same operation) replaced by the
+    # identity: the contaminating send trips the sender-side ES check, the
+    # clearance-raising send trips the receiver-side effect check.
+    monkeypatch.setattr(labelops, "raise_receive", lambda qr, dr, stats=None: qr)
+    kernel = Kernel(config=KernelConfig(sanitize=True, sanitize_strict=False))
+    tracer = FlowTracer(kernel)
+
+    def sends(port):
+        h = yield NewHandle()
+        yield Send(port, "tainted", contaminate=Label({h: L2}, STAR))
+        yield Send(port, "clearance", decontaminate_receive=Label({h: L3}, STAR))
+
+    _traffic(kernel, sends)
+    kinds = [v.kind for v in kernel.sanitizer.violations]
+    assert kinds == [EFFECTIVE_SEND_MISMATCH, RECEIVE_EFFECT_MISMATCH]
+    events = tracer.between("sender", "listener")
+    assert [e.delivered for e in events] == [True, True]
+    assert [[v.kind for v in e.violations] for e in events] == [[], [RECEIVE_EFFECT_MISMATCH]]
